@@ -39,7 +39,7 @@ _EPILOG = f"""\
 exit codes:
   {EXIT_OK}  success
   {EXIT_USAGE}  command line usage error
-  {EXIT_MISSING_INPUT}  missing input file or directory
+  {EXIT_MISSING_INPUT}  missing input file or directory, or another file system error
   {EXIT_BAD_DATA}  malformed data or failed validation
   {EXIT_MISMATCH}  model or spec mismatch
 
@@ -97,9 +97,10 @@ def cmd_batch(args) -> int:
     specs_path = Path(args.specs)
     if not specs_path.exists():
         raise FileNotFoundError(f"missing spec list {specs_path}")
-    names = [line.strip() for line in
-             specs_path.read_text(encoding="utf-8").splitlines()
-             if line.strip() and not line.startswith("#")]
+    # a repeated name would have two workers writing one directory
+    names = list(dict.fromkeys(
+        line.strip() for line in specs_path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
     jobs = args.jobs or int(os.environ.get(JOBS_ENV_VAR, "1"))
     failures = 0
@@ -109,7 +110,7 @@ def cmd_batch(args) -> int:
                 done = _synthesize_one(name, args.lam, args.seed, args.data,
                                        args.models, args.out, mode)
                 print(f"done\t{done}")
-            except (SpecError, FileNotFoundError, ConlluError, ValueError) as exc:
+            except (OSError, ValueError) as exc:
                 failures += 1
                 print(f"failed\t{name}\t{exc}", file=sys.stderr)
     else:
@@ -121,7 +122,7 @@ def cmd_batch(args) -> int:
                 name = futures[future]
                 try:
                     print(f"done\t{future.result()}")
-                except (SpecError, FileNotFoundError, ConlluError, ValueError) as exc:
+                except (OSError, ValueError) as exc:
                     failures += 1
                     print(f"failed\t{name}\t{exc}", file=sys.stderr)
     return EXIT_BAD_DATA if failures else EXIT_OK
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except SpecError as exc:

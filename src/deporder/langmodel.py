@@ -36,7 +36,6 @@ class TrigramLM:
     vocabulary: frozenset[str]
     trigrams: dict[tuple[str, str, str], int]
     histories: dict[tuple[str, str], int]
-    unigrams: dict[str, int]
     oov_threshold: int = DEFAULT_OOV_THRESHOLD
 
     @property
@@ -90,15 +89,13 @@ def train_trigram(sequences: Sequence[Sequence[str]], mode: str = "tag",
 
     trigrams: Counter = Counter()
     histories: Counter = Counter()
-    unigrams: Counter = Counter()
     for seq in sequences:
         padded = [BOS, BOS] + [mapped(tok) for tok in seq] + [EOS]
         for k in range(2, len(padded)):
             trigrams[(padded[k - 2], padded[k - 1], padded[k])] += 1
             histories[(padded[k - 2], padded[k - 1])] += 1
-            unigrams[padded[k]] += 1
     return TrigramLM(mode, frozenset(vocabulary), dict(trigrams),
-                     dict(histories), dict(unigrams), oov_threshold)
+                     dict(histories), oov_threshold)
 
 
 def perplexity(lm: TrigramLM, sequences: Sequence[Sequence[str]]) -> float:
@@ -165,7 +162,6 @@ def lm_from_text(text: str) -> TrigramLM:
     declared_vocab = -1
     trigrams: dict[tuple[str, str, str], int] = {}
     histories: Counter = Counter()
-    unigrams: Counter = Counter()
     symbols: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -185,7 +181,6 @@ def lm_from_text(text: str) -> TrigramLM:
                 raise ValueError(f"line {lineno}: expected `w1 w2 w3\\t<count>`")
             trigrams[tuple(parts)] = int(count)
             histories[(parts[0], parts[1])] += int(count)
-            unigrams[parts[2]] += int(count)
             symbols.update(parts)
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")
@@ -196,8 +191,7 @@ def lm_from_text(text: str) -> TrigramLM:
     if declared_vocab >= 0 and declared_vocab != len(vocabulary):
         raise ValueError(f"vocabulary size mismatch: header says {declared_vocab}, "
                          f"reconstructed {len(vocabulary)}")
-    return TrigramLM(mode, vocabulary, trigrams, dict(histories),
-                     dict(unigrams), oov_threshold)
+    return TrigramLM(mode, vocabulary, trigrams, dict(histories), oov_threshold)
 
 
 def save_lm(lm: TrigramLM, path: str | Path) -> None:

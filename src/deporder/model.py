@@ -2,15 +2,21 @@
 
 A model scores an ordering of a head and its dependents as the dot product
 of a sparse weight vector with the feature counts of that ordering.  The
-normalizer is computed exactly by enumerating all n! orderings in
-Steinhaus-Johnson-Trotter order, maintaining the score incrementally across
-each adjacent swap.
+normalizer is exact: one table per configuration covers all n! orderings
+in Steinhaus-Johnson-Trotter order and serves scoring, sampling, freeness,
+the expected feature vector and training.  It is read off a permutation
+table cached per n, which breaks every ordering into slot-pair states
+(ordered element pair, l/m/r class, adjacency) and 3-5-slot windows; each
+distinct state's feature names are built once per configuration.  `score`
+extracts one ordering's features directly and is the reference the table
+is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import features
 from .features import ExtendedSequence, identity_order, pair_groups, span_name
-from .sjt import MAX_N, sjt_enumerate
+from .sjt import sjt_enumerate
 from .treebank import HEAD_RELATION, LocalConfig, local_configs
 
 MODEL_FORMAT_VERSION = 1
@@ -69,91 +75,119 @@ def score(model: OrderingModel, config: LocalConfig, order: tuple[int, ...]) -> 
     return sum(w.get(name, 0.0) * c for name, c in counts.items())
 
 
-def _affected_pairs(n: int, p: int) -> list[tuple[int, int]]:
-    # Slot pairs whose features can change when slots p and p+1 swap.
-    out = [(p, p + 1)]
-    for k in range(0, n + 2):
-        if k == p or k == p + 1:
-            continue
-        out.append((min(k, p), max(k, p)))
-        out.append((min(k, p + 1), max(k, p + 1)))
-    return out
+@lru_cache(maxsize=None)  # one entry per n; sjt_enumerate rejects n > MAX_N
+def _sjt_table(n: int):
+    """The orderings of n elements as rows of numbered states.
+
+    Returns (orders, codes, states, row_of).  `orders` are the n!
+    permutations of 1..n in SJT order, identity first.  Row k of `codes`
+    is ordering k with the head at element 1, BOS (element 0) in slot 0 and
+    EOS (element n+1) in slot n+1; its columns follow `features.extract`'s
+    loop: slot pair (i, j), then the window over slots i..j if it spans 3
+    to 5 slots.  A pair's state is its ordered element pair, l/m/r class
+    and adjacency, a window's its elements.  States are numbered by first
+    occurrence; `states[s]` is (elements by slot, head slot, i, j,
+    is_window) there.  With the head at element h, ordering k is row
+    `row_of[h - 1][k]`, the ordering with elements 1 and h exchanged.
+    """
+    orders = tuple(perm for perm, _ in sjt_enumerate(n))
+    rows = [(0, *perm, n + 1) for perm in orders]
+    slots = np.array(rows)
+    head_slot = np.argsort(slots, axis=1)[:, 1]
+    columns = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 2):
+            columns.append((i, j, False))
+            if features.H_MIN_SPAN <= j - i <= features.H_MAX_SPAN:
+                columns.append((i, j, True))
+    base = n + 3
+    codes = np.empty((len(orders), len(columns)), dtype=np.int32)
+    for c, (i, j, window) in enumerate(columns):
+        if window:  # digits are element + 1, so windows of any length differ
+            codes[:, c] = 6 * base * base + sum(
+                (slots[:, s] + 1) * base ** (s - i) for s in range(i, j + 1))
+        else:
+            dclass = 1 - (j < head_slot) + (i > head_slot)  # l=0, m=1, r=2
+            codes[:, c] = ((slots[:, i] * base + slots[:, j]) * 3 + dclass) * 2 \
+                + (j == i + 1)
+    # number the states in order of first occurrence; pair codes stay below
+    # 6 * base**2 and window codes below base**5 past that, so a dense index
+    # over them is cheaper than sorting
+    first = np.full(6 * base * base + base ** 5, codes.size, dtype=np.int32)
+    np.minimum.at(first, codes.ravel(), np.arange(codes.size, dtype=np.int32))
+    present = np.flatnonzero(first < codes.size)
+    present = present[np.argsort(first[present])]
+    number = np.zeros(first.size, dtype=np.min_scalar_type(len(present)))
+    number[present] = np.arange(len(present))
+    states = []
+    for flat in first[present].tolist():
+        k, c = divmod(flat, len(columns))
+        states.append((rows[k], int(head_slot[k]), *columns[c]))
+    digits = (n + 2) ** np.arange(n + 2)
+    key = slots @ digits
+    by_key = np.argsort(key)
+    row_of = []
+    for h in range(1, n + 1):
+        swap = np.arange(n + 2)
+        swap[[1, h]] = h, 1
+        found = np.searchsorted(key, swap[slots] @ digits, sorter=by_key)
+        row_of.append(by_key[found].astype(np.int16))
+    return orders, number[codes], states, row_of
 
 
-def _affected_spans(n: int, p: int) -> list[tuple[int, int]]:
-    # Contiguous 3..5-slot spans overlapping the swapped slots.
-    out = []
-    for length in range(features.H_MIN_SPAN, features.H_MAX_SPAN + 1):
-        for i in range(max(0, p - length), min(p + 1, n + 1 - length) + 1):
-            out.append((i, i + length))
-    return out
+def _ordering_table(config: LocalConfig, whitelist: AbstractSet[str] | None
+                    ) -> tuple[tuple, list[str], np.ndarray, np.ndarray]:
+    """Every ordering of `config` as a row of table states and their names.
+
+    Returns (orders, names, owner, codes): state `codes[k, c]` is what
+    column c of ordering k fires, and it fires `names[m]` for every m with
+    `owner[m]` equal to it, in firing order.  Row k thus lists
+    `features.extract(config, orders[k], whitelist)` name by name in its
+    firing order.  Names come from `pair_groups` and `span_name`, once per
+    state of the shared `_sjt_table`.
+    """
+    seq = ExtendedSequence.from_config(config, identity_order(config.n))
+    orders, codes, states, row_of = _sjt_table(config.n)
+    head = seq.head_slot
+    symbols = list(seq.slots)  # by table element: the head is element 1
+    symbols[1], symbols[head] = symbols[head], symbols[1]
+    names: list[str] = []
+    owner: list[int] = []
+    last_row = slots = None
+    for state, (row, head_slot, i, j, window) in enumerate(states):
+        if row is not last_row:  # states come grouped by ordering
+            last_row, slots = row, tuple([symbols[e] for e in row])
+        if window:
+            name = span_name(slots, i, j)
+            if whitelist is None or name in whitelist:
+                names.append(name)
+                owner.append(state)
+        else:
+            for group in pair_groups(slots, head_slot, i, j):
+                names.extend(group)
+                owner.extend((state,) * len(group))
+    return orders, names, np.array(owner, dtype=np.intp), codes[row_of[head - 1]]
+
+
+def _scored_table(model: OrderingModel, config: LocalConfig):
+    orders, names, owner, codes = _ordering_table(config, model.h_whitelist)
+    w = model.weights
+    weight = np.bincount(owner, weights=[w.get(name, 0.0) for name in names],
+                         minlength=int(codes.max()) + 1)
+    scores = np.empty(len(orders))
+    for start in range(0, len(orders), 1024):  # bounds the gathered block
+        scores[start:start + 1024] = weight[codes[start:start + 1024]].sum(axis=1)
+    return orders, names, owner, codes, scores
 
 
 def enumerate_scores(model: OrderingModel, config: LocalConfig
                      ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All n! orderings in SJT order with incrementally maintained scores.
+    """All n! orderings in SJT order with their scores.
 
     The first ordering is the identity (the configuration's observed order).
     """
-    n = config.n
-    if n > MAX_N:
-        raise ValueError(f"configuration size {n} exceeds {MAX_N}")
-    seq = ExtendedSequence.from_config(config, identity_order(n))
-    slots = list(seq.slots)
-    head_slot = seq.head_slot
-    w = model.weights
-    wl = model.h_whitelist
-
-    # pair_groups memoizes its name tuples, so they key per-model weight sums
-    pair_cache: dict = {}
-    span_cache: dict[str, float] = {}
-
-    def pair_sum(i: int, j: int, h: int) -> float:
-        groups = pair_groups(slots, h, i, j)
-        total = pair_cache.get(groups)
-        if total is None:
-            total = 0.0
-            for group in groups:
-                for name in group:
-                    total += w.get(name, 0.0)
-            pair_cache[groups] = total
-        return total
-
-    def span_sum(i: int, j: int) -> float:
-        name = span_name(slots, i, j)
-        total = span_cache.get(name)
-        if total is None:
-            total = w.get(name, 0.0) if name in wl else 0.0
-            span_cache[name] = total
-        return total
-
-    current = 0.0
-    for i in range(n + 1):
-        for j in range(i + 1, n + 2):
-            current += pair_sum(i, j, head_slot)
-            if features.H_MIN_SPAN <= j - i <= features.H_MAX_SPAN:
-                current += span_sum(i, j)
-
-    orders: list[tuple[int, ...]] = []
-    scores = np.empty(math.factorial(n))
-    for k, (perm, swapped) in enumerate(sjt_enumerate(n)):
-        if swapped is not None:
-            p = swapped + 1
-            pairs = _affected_pairs(n, p)
-            spans = _affected_spans(n, p)
-            before = sum(pair_sum(i, j, head_slot) for i, j in pairs)
-            before += sum(span_sum(i, j) for i, j in spans)
-            slots[p], slots[p + 1] = slots[p + 1], slots[p]
-            if head_slot == p:
-                head_slot = p + 1
-            elif head_slot == p + 1:
-                head_slot = p
-            after = sum(pair_sum(i, j, head_slot) for i, j in pairs)
-            after += sum(span_sum(i, j) for i, j in spans)
-            current += after - before
-        orders.append(perm)
-        scores[k] = current
-    return orders, scores
+    orders, _, _, _, scores = _scored_table(model, config)
+    return list(orders), scores
 
 
 def _logsumexp(scores: np.ndarray) -> float:
@@ -166,59 +200,20 @@ def log_partition(model: OrderingModel, config: LocalConfig) -> float:
     return _logsumexp(scores)
 
 
-def _pair_names(slots, head_slot, i, j) -> list[str]:
-    return [name for group in pair_groups(slots, head_slot, i, j) for name in group]
-
-
 def log_partition_and_expectation(model: OrderingModel, config: LocalConfig
                                   ) -> tuple[float, dict[str, float]]:
     """Exact log normalizer and expected feature vector for one configuration.
 
-    Walks the orderings twice in SJT order: once maintaining scores
-    incrementally, once accumulating the expectation from per-swap feature
-    deltas weighted by probability suffix sums.
+    Each state's probability mass over all orderings is added to every
+    name the state fires.
     """
-    n = config.n
-    _, scores = enumerate_scores(model, config)
+    _, names, owner, codes, scores = _scored_table(model, config)
     logz = _logsumexp(scores)
     probs = np.exp(scores - logz)
-    suffix = np.cumsum(probs[::-1])[::-1]
-
-    wl = model.h_whitelist
-    seq = ExtendedSequence.from_config(config, identity_order(n))
-    slots = list(seq.slots)
-    head_slot = seq.head_slot
-    expected: dict[str, float] = {
-        name: float(count)
-        for name, count in features.extract(config, identity_order(n), wl).items()
-    }
-    k = 0
-    for _, swapped in sjt_enumerate(n):
-        if swapped is None:
-            k += 1
-            continue
-        p = swapped + 1
-        pairs = _affected_pairs(n, p)
-        spans = _affected_spans(n, p)
-        weight = float(suffix[k])
-
-        def apply(sign: float) -> None:
-            for i, j in pairs:
-                for name in _pair_names(slots, head_slot, i, j):
-                    expected[name] = expected.get(name, 0.0) + sign * weight
-            for i, j in spans:
-                name = span_name(slots, i, j)
-                if name in wl:
-                    expected[name] = expected.get(name, 0.0) + sign * weight
-
-        apply(-1.0)
-        slots[p], slots[p + 1] = slots[p + 1], slots[p]
-        if head_slot == p:
-            head_slot = p + 1
-        elif head_slot == p + 1:
-            head_slot = p
-        apply(+1.0)
-        k += 1
+    mass = np.bincount(codes.ravel(), weights=np.repeat(probs, codes.shape[1]))
+    expected: dict[str, float] = {}
+    for name, m in zip(names, mass[owner].tolist()):
+        expected[name] = expected.get(name, 0.0) + m
     return logz, expected
 
 
@@ -259,17 +254,29 @@ class _CompiledCorpus:
                 continue
             seen[key] = len(order_counts)
             order_counts.append(1)
-            rows, cols, vals = [], [], []
-            for k, (perm, _) in enumerate(sjt_enumerate(config.n)):
-                for name, count in features.extract(config, perm, whitelist).items():
-                    idx = self.name_index.setdefault(name, len(self.name_index))
-                    rows.append(k)
-                    cols.append(idx)
-                    vals.append(float(count))
-            self.groups.append((math.factorial(config.n),
-                                np.asarray(rows, dtype=np.int32),
-                                np.asarray(cols, dtype=np.int32),
-                                np.asarray(vals, dtype=float), seen[key]))
+            orders, names, owner, codes = _ordering_table(config, whitelist)
+            local: dict[str, int] = {}
+            rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+            ids = np.full((int(codes.max()) + 1, int(rank.max()) + 1), -1)
+            ids[owner, rank] = [local.setdefault(name, len(local)) for name in names]
+            # one row per ordering, its names in firing order; count each
+            # name at its first firing, as features.extract does
+            fired = ids[codes].reshape(len(orders), -1)
+            row, pos = np.nonzero(fired >= 0)
+            cells, first, counts = np.unique(row * len(local) + fired[row, pos],
+                                             return_index=True, return_counts=True)
+            by_firing = np.argsort(first)
+            rows, local_cols = np.divmod(cells[by_firing], len(local))
+            # hand out global ids in order of first appearance
+            local_names = list(local)
+            present, at = np.unique(local_cols, return_index=True)
+            to_global = np.empty(len(local), dtype=np.int32)
+            for lc in present[np.argsort(at)].tolist():
+                to_global[lc] = self.name_index.setdefault(
+                    local_names[lc], len(self.name_index))
+            self.groups.append((len(orders), rows.astype(np.int32),
+                                to_global[local_cols],
+                                counts[by_firing].astype(float), seen[key]))
         self.multiplicities = order_counts
         self.total = sum(order_counts)
 

@@ -1,7 +1,8 @@
 """Steinhaus-Johnson-Trotter enumeration of permutations.
 
-Consecutive permutations differ by a single swap of adjacent positions,
-which lets callers maintain derived quantities incrementally.
+Consecutive permutations differ by a single swap of adjacent positions.
+This order is the row order of every ordering table in `deporder.model`,
+and so the order in which exact sampling accumulates probabilities.
 """
 
 from __future__ import annotations

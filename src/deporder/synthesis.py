@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
-from .sjt import MAX_N
 from .treebank import (DepTree, LocalConfig, Token, HEAD_RELATION,
                        NOUN_CLASS_TAGS, VERB_CLASS_TAGS, children_map,
                        generation_drop_reason, parse_conllu, serialize_conllu)
@@ -110,26 +109,18 @@ def sample_ordering(model: OrderingModel, config: LocalConfig,
                     rng: RngStream) -> tuple[int, ...]:
     """Exact sample from the model's distribution over the n! orderings.
 
-    Walks the orderings in SJT order accumulating normalized probabilities
-    and returns the first whose cumulative probability reaches a single
-    uniform draw.  A one-element configuration returns the identity without
-    consuming a draw.
+    Accumulates normalized probabilities in SJT order and returns the first
+    ordering whose cumulative probability reaches a single uniform draw (the
+    last one if rounding leaves the total short of it).  A one-element
+    configuration returns the identity without consuming a draw.
     """
-    n = config.n
-    if n > MAX_N:
-        raise ValueError(f"configuration size {n} exceeds {MAX_N}")
-    if n == 1:
+    if config.n == 1:
         return (1,)
     orders, scores = enumerate_scores(model, config)
     weights = np.exp(scores - scores.max())
     probs = weights / weights.sum()
-    u = rng.uniform()
-    cumulative = 0.0
-    for order, p in zip(orders, probs):
-        cumulative += p
-        if cumulative >= u:
-            return order
-    return orders[-1]
+    k = int(np.searchsorted(np.cumsum(probs), rng.uniform(), side="left"))
+    return orders[min(k, len(orders) - 1)]
 
 
 def _class_of(upos: str) -> str | None:

@@ -13,6 +13,8 @@ import logging
 import re
 from dataclasses import dataclass, replace
 
+from .sjt import MAX_N
+
 logger = logging.getLogger(__name__)
 
 # The closed universal POS tagset (17 tags).
@@ -39,9 +41,10 @@ NOUN_CLASS_TAGS = frozenset({"NOUN", "PROPN", "PRON"})
 VERB_CLASS_TAGS = frozenset({"VERB"})
 POS_CLASSES = {"N": NOUN_CLASS_TAGS, "V": VERB_CLASS_TAGS}
 
-# A node whose local configuration reaches this size (head plus dependents)
-# makes the whole tree ineligible for generation.
-MAX_GENERATION_FANOUT = 8
+# A node whose local configuration (head plus dependents) is larger than
+# this makes the whole tree ineligible for generation: exact sampling
+# enumerates every ordering, and the enumerator stops at MAX_N elements.
+MAX_GENERATION_FANOUT = MAX_N
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _DECIMAL_ID = re.compile(r"^\d+\.\d+$")
@@ -339,7 +342,7 @@ def generation_drop_reason(tree: DepTree) -> str | None:
     """Why generation must skip this tree: "nonprojective", "fanout", or None."""
     if not is_projective(tree):
         return "nonprojective"
-    if max_fanout(tree) >= MAX_GENERATION_FANOUT:
+    if max_fanout(tree) > MAX_GENERATION_FANOUT:
         return "fanout"
     return None
 

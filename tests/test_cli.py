@@ -94,6 +94,16 @@ class TestPermuteCommand:
         assert code == EXIT_MISMATCH
 
 
+    def test_file_system_error_exit_code(self, trained_dir, tmp_path, capsys):
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        code, _, err = run(capsys, "permute", "--spec", "xx~sov@V",
+                           "--data", str(UD_ROOT), "--models", str(trained_dir),
+                           "--out", str(not_a_directory))
+        assert code == EXIT_MISSING_INPUT
+        assert err.startswith("error: ")
+
+
 class TestBatchCommand:
     def test_serial_and_parallel_agree(self, trained_dir, tmp_path, capsys):
         specs = tmp_path / "specs.txt"
@@ -133,6 +143,34 @@ class TestBatchCommand:
         assert code == EXIT_BAD_DATA
         assert "done\txx~sov@V" in out
         assert "missing~sov@V" in err
+
+
+    def test_file_system_error_fails_each_spec(self, trained_dir, tmp_path,
+                                               capsys):
+        specs = tmp_path / "specs.txt"
+        specs.write_text("xx~sov@V\nsov~nadj@N\n")
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "batch", "--specs", str(specs),
+                                 "--data", str(UD_ROOT),
+                                 "--models", str(trained_dir),
+                                 "--out", str(not_a_directory), "--jobs", jobs)
+            assert code == EXIT_BAD_DATA
+            assert out == ""
+            assert sorted(line.split("\t")[:2] for line in err.splitlines()) \
+                == [["failed", "sov~nadj@N"], ["failed", "xx~sov@V"]]
+
+    def test_duplicate_names_run_once(self, trained_dir, tmp_path, capsys):
+        specs = tmp_path / "specs.txt"
+        specs.write_text("xx~sov@V\nsov~nadj@N\nxx~sov@V\n")
+        code, out, _ = run(capsys, "batch", "--specs", str(specs),
+                           "--data", str(UD_ROOT),
+                           "--models", str(trained_dir),
+                           "--out", str(tmp_path / "out"), "--jobs", "2")
+        assert code == EXIT_OK
+        assert sorted(out.splitlines()) == ["done\tsov~nadj@N",
+                                            "done\txx~sov@V"]
 
 
 class TestStatsCommand:

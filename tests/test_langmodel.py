@@ -14,7 +14,7 @@ from conftest import load_split
 def uniform_lm(mode="tag"):
     """No counts at all: every conditional is the add-1 fallback 1/V."""
     vocab = frozenset(UPOS_TAGS | {BOS, EOS})
-    return TrigramLM(mode, vocab, {}, {}, {})
+    return TrigramLM(mode, vocab, {}, {})
 
 
 def sample_from_lm(lm, rnd, n_sequences, max_len=30):

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from deporder.features import extract
-from deporder.model import (OrderingModel, TrainHyper, enumerate_scores,
-                            freeness, interpolate, log_likelihood,
+from deporder.features import extract, normalize_symbol
+from deporder.model import (OrderingModel, TrainHyper, _CompiledCorpus,
+                            enumerate_scores, freeness, interpolate, log_likelihood,
                             log_partition, log_partition_and_expectation,
                             mean_log_likelihood, model_from_text,
                             model_to_text, score, train, uniform_model)
@@ -99,6 +99,50 @@ class TestIncrementalScoring:
             assert abs(score(model, config, orders[k]) - scores[k]) < 1e-9
 
 
+def reference_compile(configs, whitelist):
+    """Training rows built name by name from features.extract."""
+    name_index, groups, seen = {}, [], set()
+    for config in configs:
+        key = tuple(normalize_symbol(t, r) for t, r in config.elements)
+        if key in seen:
+            continue
+        seen.add(key)
+        rows, cols, vals = [], [], []
+        for k, (perm, _) in enumerate(sjt_enumerate(config.n)):
+            for name, count in extract(config, perm, whitelist).items():
+                rows.append(k)
+                cols.append(name_index.setdefault(name, len(name_index)))
+                vals.append(float(count))
+        groups.append((rows, cols, vals))
+    return name_index, groups
+
+
+class TestCompiledRows:
+    def test_rows_equal_extract(self):
+        rnd = random.Random(67)
+        configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
+        configs += [
+            LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
+            LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
+                                         ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+        ]
+        configs += configs[:2]  # repeats are compiled once
+        h_names = sorted({name for c in configs
+                          for perm in (tuple(range(1, c.n + 1)),
+                                       tuple(range(c.n, 0, -1)))
+                          for name in extract(c, perm) if name.startswith("H.")})
+        for whitelist in (None, frozenset(),
+                          frozenset(rnd.sample(h_names, len(h_names) // 3))):
+            corpus = _CompiledCorpus(configs, whitelist)
+            name_index, groups = reference_compile(configs, whitelist)
+            assert list(corpus.name_index.items()) == list(name_index.items())
+            assert len(corpus.groups) == len(groups)
+            for (n_perms, rows, cols, vals, _), ref in zip(corpus.groups, groups):
+                assert n_perms == len(set(ref[0]))
+                assert rows.dtype == cols.dtype == np.int32
+                assert (rows.tolist(), cols.tolist(), vals.tolist()) == ref
+
+
 class TestPartition:
     def test_uniform_n3(self):
         model = uniform_model()
@@ -130,6 +174,18 @@ class TestPartition:
             for name in set(expected) | set(bf_expected):
                 assert abs(expected.get(name, 0.0)
                            - bf_expected.get(name, 0.0)) < 1e-9
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_brute_force_oracle_large(self, n):
+        rnd = random.Random(50 + n)
+        config = random_config(rnd, n)
+        model = random_model(rnd, config, n_weights=30)
+        logz, expected = log_partition_and_expectation(model, config)
+        bf_logz, bf_expected = brute_force_expectation(model, config)
+        assert abs(logz - bf_logz) < 1e-9
+        assert expected.keys() == bf_expected.keys()
+        for name in bf_expected:
+            assert abs(expected[name] - bf_expected[name]) < 1e-9
 
     def test_normalization(self):
         rnd = random.Random(37)
