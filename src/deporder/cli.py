@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -24,8 +26,8 @@ from .model import TrainHyper, freeness, save_model, train
 from .synthesis import (DEFAULT_LAMBDA, DEFAULT_SEED, LanguageSpec, SpecError,
                         load_language_models, synthesize_language)
 from .treebank import (ConlluError, filter_for_generation, is_projective,
-                       local_configs, parse_conllu, serialize_conllu,
-                       touched_fraction, validate_tree)
+                       local_configs, parse_conllu, read_split,
+                       serialize_conllu, touched_fraction, validate_tree)
 
 JOBS_ENV_VAR = "DEPORDER_JOBS"
 
@@ -48,18 +50,11 @@ environment:
 """
 
 
-def _read_split(treebank_dir: Path, language: str, split: str, mode: str):
-    path = treebank_dir / f"{language}-ud-{split}.conllu"
-    if not path.exists():
-        raise FileNotFoundError(f"missing split file {path}")
-    return parse_conllu(path.read_text(encoding="utf-8"), mode)
-
-
 def cmd_train(args) -> int:
     treebank_dir = Path(args.treebank)
     language = args.lang or treebank_dir.name
     mode = "lenient" if args.lenient else "strict"
-    trees = _read_split(treebank_dir, language, "train", mode)
+    trees = read_split(treebank_dir, language, "train", mode)
     projective = [t for t in trees if is_projective(t)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -77,20 +72,28 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
+                    out: str, mode: str) -> Path:
+    spec = LanguageSpec.parse(name, lam=lam, seed=seed)
+    return synthesize_language(spec, Path(data) / spec.substrate, models, out,
+                               mode)
+
+
 def cmd_permute(args) -> int:
-    spec = LanguageSpec.parse(args.spec, lam=args.lam, seed=args.seed)
     mode = "strict" if args.strict else "lenient"
-    out_dir = synthesize_language(spec, Path(args.data) / spec.substrate,
-                                  args.models, args.out, mode)
-    print(out_dir)
+    print(_synthesize_one(args.spec, args.lam, args.seed, args.data,
+                          args.models, args.out, mode))
     return EXIT_OK
 
 
-def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
-                    out: str, mode: str) -> str:
-    spec = LanguageSpec.parse(name, lam=lam, seed=seed)
-    synthesize_language(spec, Path(data) / spec.substrate, models, out, mode)
-    return spec.dirname
+def _queue(pool, call):
+    """Start `call` in the pool; the returned callable gives its outcome."""
+    try:
+        return pool.submit(call).result
+    except concurrent.futures.BrokenExecutor as exc:  # a worker died already
+        future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future.result
 
 
 def cmd_batch(args) -> int:
@@ -103,28 +106,23 @@ def cmd_batch(args) -> int:
         if line.strip() and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
     jobs = args.jobs or int(os.environ.get(JOBS_ENV_VAR, "1"))
+    calls = [functools.partial(_synthesize_one, name, args.lam, args.seed,
+                               args.data, args.models, args.out, mode)
+             for name in names]
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+            if jobs > 1 else None)
     failures = 0
-    if jobs <= 1:
-        for name in names:
+    with pool or contextlib.nullcontext():
+        if pool is not None:
+            calls = [_queue(pool, call) for call in calls]
+        # outcomes are reported in spec-list order whatever finishes first;
+        # a worker that dies breaks the pool and fails every unfinished spec
+        for name, call in zip(names, calls):
             try:
-                done = _synthesize_one(name, args.lam, args.seed, args.data,
-                                       args.models, args.out, mode)
-                print(f"done\t{done}")
-            except (OSError, ValueError) as exc:
+                print(f"done\t{call().name}")
+            except (OSError, ValueError, concurrent.futures.BrokenExecutor) as exc:
                 failures += 1
                 print(f"failed\t{name}\t{exc}", file=sys.stderr)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_synthesize_one, name, args.lam, args.seed,
-                                   args.data, args.models, args.out, mode): name
-                       for name in names}
-            for future in concurrent.futures.as_completed(futures):
-                name = futures[future]
-                try:
-                    print(f"done\t{future.result()}")
-                except (OSError, ValueError) as exc:
-                    failures += 1
-                    print(f"failed\t{name}\t{exc}", file=sys.stderr)
     return EXIT_BAD_DATA if failures else EXIT_OK
 
 
@@ -132,7 +130,7 @@ def cmd_stats(args) -> int:
     treebank_dir = Path(args.treebank)
     language = args.lang or treebank_dir.name
     mode = "lenient" if args.lenient else "strict"
-    trees = _read_split(treebank_dir, language, "train", mode)
+    trees = read_split(treebank_dir, language, "train", mode)
     kept, _ = filter_for_generation(trees)
     total_tokens = sum(len(t) for t in trees)
     kept_tokens = sum(len(t) for t in kept)
@@ -140,7 +138,7 @@ def cmd_stats(args) -> int:
     r_value = "NA"
     if args.models:
         model_n, model_v = load_language_models(args.models, language)
-        dev_trees = _read_split(treebank_dir, language, "dev", mode)
+        dev_trees = read_split(treebank_dir, language, "dev", mode)
         dev_kept, _ = filter_for_generation(dev_trees)
         r_value = f"{freeness(model_n, model_v, dev_kept):.3f}"
     print("lang\tsents_kept\tsents\ttokens_kept\ttokens\tT\tR")

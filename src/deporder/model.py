@@ -29,6 +29,7 @@ from .treebank import HEAD_RELATION, LocalConfig, local_configs
 
 MODEL_FORMAT_VERSION = 1
 LN2 = math.log(2.0)
+MAX_TRAIN_SIZE = 6  # training drops configurations with more elements
 
 
 @dataclass
@@ -235,7 +236,6 @@ class TrainHyper:
 
     max_iterations: int = 200
     grad_tolerance: float = 1e-5
-    max_train_size: int = 6  # configurations with more elements are dropped
 
 
 class _CompiledCorpus:
@@ -315,14 +315,14 @@ def train(configs: Sequence[LocalConfig],
     """Maximum-likelihood weights for the observed orders of `configs`.
 
     Each configuration's element order is its observed ordering.
-    Configurations larger than `hyper.max_train_size` are dropped.  When
+    Configurations with more than `MAX_TRAIN_SIZE` elements are dropped.  When
     `whitelist` is None it is derived from the observed orders with
     `build_h_whitelist`.  The objective is concave; gradient ascent with
     backtracking runs until the gradient infinity norm falls below tolerance
     or the iteration cap is hit (recorded in `training_meta`).
     """
     hyper = hyper or TrainHyper()
-    usable = [c for c in configs if c.n <= hyper.max_train_size]
+    usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
     dropped = len(configs) - len(usable)
     if not usable:
         raise ValueError("no usable training configurations")
@@ -402,9 +402,7 @@ def freeness(model_n: OrderingModel, model_v: OrderingModel,
                 nodes += 1
                 if config.n == 1:
                     continue
-                _, scores = enumerate_scores(model, config)
-                logz = _logsumexp(scores)
-                numerator += (logz - float(scores[0])) / LN2
+                numerator -= log_likelihood(model, config) / LN2
                 denominator += math.log(math.factorial(config.n)) / LN2
     if nodes == 0 or denominator == 0.0:
         raise ValueError("freeness undefined: no head with two or more elements")

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
-from .treebank import (DepTree, LocalConfig, Token, HEAD_RELATION,
-                       NOUN_CLASS_TAGS, VERB_CLASS_TAGS, children_map,
-                       generation_drop_reason, parse_conllu, serialize_conllu)
+from .treebank import (DepTree, LocalConfig, Token, children_map,
+                       generation_drop_reason, local_configs, read_split,
+                       serialize_conllu)
 
 DEFAULT_SEED = 0
 DEFAULT_LAMBDA = 0.05
@@ -123,14 +123,6 @@ def sample_ordering(model: OrderingModel, config: LocalConfig,
     return orders[min(k, len(orders) - 1)]
 
 
-def _class_of(upos: str) -> str | None:
-    if upos in NOUN_CLASS_TAGS:
-        return "N"
-    if upos in VERB_CLASS_TAGS:
-        return "V"
-    return None
-
-
 def _append_misc(misc: str, key: str, value) -> str:
     entry = f"{key}={value}"
     return entry if misc == "_" else f"{misc}|{entry}"
@@ -167,19 +159,17 @@ def permute_tree(tree: DepTree, model_n: OrderingModel | None,
         raise ValueError(f"tree {tree.source_id!r} not eligible for generation "
                          f"({reason})")
     dependents = children_map(tree)
+    sampled = {config.source[1]: (model, config)
+               for pos_class, model in (("N", model_n), ("V", model_v))
+               if model is not None
+               for config in local_configs(tree, pos_class)}
     plans: dict[int, tuple[list[Token], tuple[int, ...]]] = {}
 
     def plan(head: Token) -> None:
         deps = dependents.get(head.index, [])
         units = sorted(deps + [head], key=lambda t: t.index)
-        model = {"N": model_n, "V": model_v, None: None}[_class_of(head.upos)]
-        if model is not None and len(units) > 1:
-            elements = tuple(
-                (u.upos, HEAD_RELATION if u.index == head.index else u.deprel)
-                for u in units)
-            config = LocalConfig(head.upos, head.deprel, elements,
-                                 (tree.source_id, head.index))
-            order = sample_ordering(model, config, rng)
+        if head.index in sampled:
+            order = sample_ordering(*sampled[head.index], rng)
         else:
             order = tuple(range(1, len(units) + 1))
         plans[head.index] = (units, order)
@@ -231,34 +221,32 @@ def load_language_models(model_dir: str | Path, language: str
     return models[0], models[1]
 
 
-def _blended_model(spec: LanguageSpec, pos_class: str, superstrate: str | None,
-                   model_dir: Path) -> OrderingModel | None:
-    if superstrate is None:
-        return None
-    sup = load_language_models(model_dir, superstrate)[0 if pos_class == "N" else 1]
-    sub = load_language_models(model_dir, spec.substrate)[0 if pos_class == "N" else 1]
-    return interpolate(sup, sub, spec.lam)
-
-
 def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
                         model_dir: str | Path, out_root: str | Path,
-                        mode: str = "lenient",
-                        tool_version: str | None = None) -> Path:
+                        mode: str = "lenient") -> Path:
     """Produce the three splits of one synthetic language plus its manifest.
 
-    Reads `<substrate>-ud-{train,dev,test}.conllu` from `substrate_dir`,
+    Reads every input first: the N and V model files of each language the
+    spec names, each file once (none when the spec names no superstrate),
+    and `<substrate>-ud-{train,dev,test}.conllu` from `substrate_dir`.  Then
     drops non-projective and high-fanout trees, permutes the rest with the
-    interpolated models, and writes byte-deterministic output under
-    `out_root/<spec dirname>`.
+    interpolated models, and only then writes byte-deterministic output
+    under `out_root/<spec dirname>`, so a spec that fails on a missing or
+    malformed input writes nothing.
     """
     from . import __version__
-    substrate_dir = Path(substrate_dir)
-    model_dir = Path(model_dir)
-    out_dir = Path(out_root) / spec.dirname
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    model_n = _blended_model(spec, "N", spec.superstrate_n, model_dir)
-    model_v = _blended_model(spec, "V", spec.superstrate_v, model_dir)
+    superstrates = (spec.superstrate_n, spec.superstrate_v)
+    model_n = model_v = None
+    if superstrates != (None, None):
+        pairs = {lang: load_language_models(model_dir, lang)
+                 for lang in dict.fromkeys((spec.substrate,) + superstrates)
+                 if lang is not None}
+        model_n, model_v = (
+            None if sup is None
+            else interpolate(pairs[sup][k], pairs[spec.substrate][k], spec.lam)
+            for k, sup in enumerate(superstrates))
+    inputs = {split: read_split(substrate_dir, spec.substrate, split, mode)
+              for split in SPLITS}
 
     manifest: list[tuple[str, str]] = [
         ("spec", spec.dirname),
@@ -270,13 +258,10 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
         ("rng", RngStream.VERSION),
         ("rng_derivation",
          "per-sentence stream keyed on seed, spec dirname, split, 0-based ordinal"),
-        ("tool_version", tool_version or __version__),
+        ("tool_version", __version__),
     ]
-    for split in SPLITS:
-        in_path = substrate_dir / f"{spec.substrate}-ud-{split}.conllu"
-        if not in_path.exists():
-            raise FileNotFoundError(f"missing split file {in_path}")
-        trees = parse_conllu(in_path.read_text(encoding="utf-8"), mode)
+    outputs: dict[str, str] = {}
+    for split, trees in inputs.items():
         out_trees: list[DepTree] = []
         dropped: dict[str, list[str]] = {"nonprojective": [], "fanout": []}
         mwt_dropped = 0
@@ -293,8 +278,7 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
             deps_cleared += (sum(1 for t in tree.tokens if t.deps != "_")
                              - sum(1 for t in permuted.tokens if t.deps != "_"))
             out_trees.append(permuted)
-        out_path = out_dir / f"{spec.dirname}-ud-{split}.conllu"
-        out_path.write_text(serialize_conllu(out_trees), encoding="utf-8")
+        outputs[f"{spec.dirname}-ud-{split}.conllu"] = serialize_conllu(out_trees)
         manifest.extend([
             (f"{split}_input_sentences", str(len(trees))),
             (f"{split}_kept", str(len(out_trees))),
@@ -305,9 +289,12 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
             (f"{split}_multiword_lines_dropped", str(mwt_dropped)),
             (f"{split}_deps_fields_cleared", str(deps_cleared)),
         ])
-    manifest_path = out_dir / "manifest.tsv"
-    manifest_path.write_text(
-        "".join(f"{k}\t{v}\n" for k, v in manifest), encoding="utf-8")
+    outputs["manifest.tsv"] = "".join(f"{k}\t{v}\n" for k, v in manifest)
+
+    out_dir = Path(out_root) / spec.dirname
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
     return out_dir
 
 

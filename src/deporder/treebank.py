@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 from .sjt import MAX_N
 
@@ -265,6 +266,15 @@ def parse_conllu(text: str, mode: str = "strict") -> list[DepTree]:
             broken = exc
     flush(lineno + 1 if text else 1)
     return trees
+
+
+def read_split(treebank_dir: str | Path, language: str, split: str,
+               mode: str = "strict") -> list[DepTree]:
+    """Parse `<language>-ud-<split>.conllu` from a language directory."""
+    path = Path(treebank_dir) / f"{language}-ud-{split}.conllu"
+    if not path.exists():
+        raise FileNotFoundError(f"missing split file {path}")
+    return parse_conllu(path.read_text(encoding="utf-8"), mode)
 
 
 def serialize_conllu(trees: list[DepTree]) -> str:

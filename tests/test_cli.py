@@ -1,8 +1,11 @@
 import argparse
+import concurrent.futures
 import filecmp
+import os
 
 import pytest
 
+from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
 
@@ -104,6 +107,10 @@ class TestPermuteCommand:
         assert err.startswith("error: ")
 
 
+def _kill_worker(*args):
+    os._exit(1)
+
+
 class TestBatchCommand:
     def test_serial_and_parallel_agree(self, trained_dir, tmp_path, capsys):
         specs = tmp_path / "specs.txt"
@@ -171,6 +178,45 @@ class TestBatchCommand:
         assert code == EXIT_OK
         assert sorted(out.splitlines()) == ["done\tsov~nadj@N",
                                             "done\txx~sov@V"]
+
+    def test_report_follows_spec_list(self, trained_dir, tmp_path, capsys):
+        # the slow N+V spec comes first, so a pool finishes the others before it
+        names = ["xx~nadj@N~sov@V", "sov", "missing~sov@V", "nadj~xx@V", "xx"]
+        specs = tmp_path / "specs.txt"
+        specs.write_text("\n".join(names) + "\n")
+        reports = []
+        for jobs in ("1", "2", "2"):
+            code, out, err = run(capsys, "batch", "--specs", str(specs),
+                                 "--data", str(UD_ROOT),
+                                 "--models", str(trained_dir),
+                                 "--out", str(tmp_path / "out"), "--jobs", jobs)
+            assert code == EXIT_BAD_DATA
+            reports.append((out, err))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert reports[0][0].splitlines() == [
+            f"done\t{name}" for name in names if name != "missing~sov@V"]
+        assert reports[0][1].startswith("failed\tmissing~sov@V\t")
+
+    def test_dead_worker_fails_each_spec(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_synthesize_one", _kill_worker)
+        specs = tmp_path / "specs.txt"
+        specs.write_text("xx~sov@V\nsov~nadj@N\n")
+        code, out, err = run(capsys, "batch", "--specs", str(specs),
+                             "--data", str(UD_ROOT), "--models", str(tmp_path),
+                             "--out", str(tmp_path / "out"), "--jobs", "2")
+        assert code == EXIT_BAD_DATA
+        assert out == ""
+        assert [line.split("\t")[:2] for line in err.splitlines()] \
+            == [["failed", "xx~sov@V"], ["failed", "sov~nadj@N"]]
+
+    def test_spec_queued_after_a_worker_died_fails(self):
+        class BrokenPool:
+            def submit(self, call):
+                raise concurrent.futures.BrokenExecutor("a worker died")
+
+        outcome = cli._queue(BrokenPool(), print)
+        with pytest.raises(concurrent.futures.BrokenExecutor):
+            outcome()
 
 
 class TestStatsCommand:

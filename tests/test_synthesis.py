@@ -1,12 +1,14 @@
 import math
 import re
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from deporder.model import (OrderingModel, enumerate_scores, log_partition,
-                            save_model, uniform_model)
+from deporder import synthesis
+from deporder.model import (OrderingModel, enumerate_scores, load_model,
+                            log_partition, save_model, uniform_model)
 from deporder.synthesis import (DEFAULT_LAMBDA, LanguageSpec, RngStream,
                                 SpecError, cross_product_specs,
                                 load_language_models, permute_tree,
@@ -274,3 +276,56 @@ class TestSynthesizeLanguage:
                    tmp_path / "zz-V.model")
         with pytest.raises(SpecError):
             load_language_models(tmp_path, "zz")
+
+
+class TestSpecInputs:
+    @pytest.mark.parametrize("name,languages", [
+        ("xx~nadj@N~sov@V", ("xx", "nadj", "sov")),
+        ("xx~xx@N~xx@V", ("xx",)),
+        ("xx~sov@V", ("xx", "sov")),
+        ("xx", ()),
+    ])
+    def test_each_model_file_read_once(self, name, languages,
+                                       fixture_model_dir, tmp_path,
+                                       monkeypatch):
+        reads = Counter()
+
+        def counting_load(path):
+            reads[path.name] += 1
+            return load_model(path)
+
+        monkeypatch.setattr(synthesis, "load_model", counting_load)
+        synthesize_language(LanguageSpec.parse(name), UD_ROOT / "xx",
+                            fixture_model_dir, tmp_path)
+        assert reads == Counter(f"{lang}-{pos_class}.model"
+                                for lang in languages for pos_class in "NV")
+
+    def test_missing_model_file_writes_nothing(self, fixture_model_dir,
+                                               tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for path in fixture_model_dir.iterdir():
+            if path.name != "sov-V.model":
+                shutil.copy(path, models)
+        with pytest.raises(SpecError):
+            synthesize_language(LanguageSpec.parse("xx~sov@V"), UD_ROOT / "xx",
+                                models, tmp_path / "out")
+        assert not (tmp_path / "out" / "xx~sov@V").exists()
+
+    @pytest.mark.parametrize("dev_text,error", [
+        (None, FileNotFoundError),
+        ("1\tbroken\n\n", ValueError),
+    ])
+    def test_bad_dev_split_writes_nothing(self, dev_text, error,
+                                          fixture_model_dir, tmp_path):
+        substrate = tmp_path / "xx"
+        substrate.mkdir()
+        for split in ("train", "test"):
+            shutil.copy(UD_ROOT / "xx" / f"xx-ud-{split}.conllu", substrate)
+        if dev_text is not None:
+            (substrate / "xx-ud-dev.conllu").write_text(dev_text)
+        with pytest.raises(error):
+            synthesize_language(LanguageSpec.parse("xx~sov@V"), substrate,
+                                fixture_model_dir, tmp_path / "out",
+                                mode="strict")
+        assert not (tmp_path / "out" / "xx~sov@V").exists()
