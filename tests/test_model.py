@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,48 +100,78 @@ class TestIncrementalScoring:
             assert abs(score(model, config, orders[k]) - scores[k]) < 1e-9
 
 
-def reference_compile(configs, whitelist):
-    """Training rows built name by name from features.extract."""
-    name_index, groups, seen = {}, [], set()
+def compile_cases(rnd):
+    """Configurations of every trainable size, unknown labels and repeats,
+    under None, empty and random H whitelists."""
+    configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
+    configs += [
+        LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
+        LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
+                                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+    ]
+    configs += configs[:2]  # repeats are compiled once
+    h_names = sorted({name for c in configs
+                      for perm in (tuple(range(1, c.n + 1)),
+                                   tuple(range(c.n, 0, -1)))
+                      for name in extract(c, perm) if name.startswith("H.")})
+    return configs, (None, frozenset(),
+                     frozenset(rnd.sample(h_names, len(h_names) // 3)))
+
+
+def distinct_configs(configs):
+    """First configuration of each normalized key, and the key counts."""
+    first, counts = {}, Counter()
     for config in configs:
         key = tuple(normalize_symbol(t, r) for t, r in config.elements)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows, cols, vals = [], [], []
-        for k, (perm, _) in enumerate(sjt_enumerate(config.n)):
-            for name, count in extract(config, perm, whitelist).items():
-                rows.append(k)
-                cols.append(name_index.setdefault(name, len(name_index)))
-                vals.append(float(count))
-        groups.append((rows, cols, vals))
-    return name_index, groups
+        first.setdefault(key, config)
+        counts[key] += 1
+    return list(first.values()), [counts[key] for key in first]
 
 
 class TestCompiledRows:
     def test_rows_equal_extract(self):
-        rnd = random.Random(67)
-        configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
-        configs += [
-            LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
-            LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
-                                         ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
-        ]
-        configs += configs[:2]  # repeats are compiled once
-        h_names = sorted({name for c in configs
-                          for perm in (tuple(range(1, c.n + 1)),
-                                       tuple(range(c.n, 0, -1)))
-                          for name in extract(c, perm) if name.startswith("H.")})
-        for whitelist in (None, frozenset(),
-                          frozenset(rnd.sample(h_names, len(h_names) // 3))):
+        configs, whitelists = compile_cases(random.Random(67))
+        distinct, counts = distinct_configs(configs)
+        for whitelist in whitelists:
             corpus = _CompiledCorpus(configs, whitelist)
-            name_index, groups = reference_compile(configs, whitelist)
-            assert list(corpus.name_index.items()) == list(name_index.items())
-            assert len(corpus.groups) == len(groups)
-            for (n_perms, rows, cols, vals, _), ref in zip(corpus.groups, groups):
-                assert n_perms == len(set(ref[0]))
-                assert rows.dtype == cols.dtype == np.int32
-                assert (rows.tolist(), cols.tolist(), vals.tolist()) == ref
+            names = list(corpus.name_index)
+            assert list(corpus.name_index.values()) == list(range(len(names)))
+            assert len(corpus.groups) == len(distinct)
+            assert corpus.multiplicities == counts
+            for (codes, owner, ids), config in zip(corpus.groups, distinct):
+                fires = [[] for _ in range(int(codes.max()) + 1)]
+                for state, i in zip(owner.tolist(), ids.tolist()):
+                    fires[state].append(names[i])
+                for k, (perm, _) in enumerate(sjt_enumerate(config.n)):
+                    fired = Counter(name for state in codes[k]
+                                    for name in fires[state])
+                    assert fired == extract(config, perm, whitelist)
+
+
+class TestObjective:
+    def test_matches_per_configuration_reference(self):
+        rnd = random.Random(71)
+        configs, whitelists = compile_cases(rnd)
+        for whitelist in whitelists:
+            corpus = _CompiledCorpus(configs, whitelist)
+            theta = np.array([rnd.gauss(0.0, 1.0) for _ in corpus.name_index])
+            value, grad = corpus.objective_and_gradient(theta)
+            model = OrderingModel(
+                "t", "N", dict(zip(corpus.name_index, theta.tolist())),
+                frozenset(n for n in corpus.name_index if n.startswith("H.")))
+            ref_value, ref_grad = 0.0, Counter()
+            for config in configs:
+                ref_value += log_likelihood(model, config) / len(configs)
+                _, expected = log_partition_and_expectation(model, config)
+                observed = extract(config, tuple(range(1, config.n + 1)),
+                                   whitelist)
+                for name in expected.keys() | observed.keys():
+                    ref_grad[name] += (observed.get(name, 0)
+                                       - expected.get(name, 0.0)) / len(configs)
+            assert abs(value - ref_value) < 1e-12
+            assert ref_grad.keys() <= corpus.name_index.keys()
+            for name, i in corpus.name_index.items():
+                assert abs(grad[i] - ref_grad.get(name, 0.0)) < 1e-12
 
 
 class TestPartition:
@@ -353,6 +384,11 @@ class TestModelFiles:
             model_from_text("#lang x\n#pos N\n#version 99\n")
         with pytest.raises(ValueError):
             model_from_text("#lang x\n#version 1\n")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_bad_weight_names_its_line(self, weight):
+        with pytest.raises(ValueError, match="line 4"):
+            model_from_text(f"#lang x\n#pos N\n#version 1\nA.BOS.BOS.X.head\t{weight}\n")
 
     def test_scores_identical_after_round_trip(self, sov_v_model):
         again = model_from_text(model_to_text(sov_v_model))
