@@ -5,7 +5,7 @@ treebanks, use them to synthesize treebanks with resampled word order, and
 measure corpora with trigram language models.
 """
 
-__version__ = "1.0.1"
+__version__ = "1.1.0"
 
 from .treebank import (ConlluError, DepTree, FilterReport, LocalConfig, Token,
                        filter_for_generation, is_projective, local_configs,
@@ -13,10 +13,9 @@ from .treebank import (ConlluError, DepTree, FilterReport, LocalConfig, Token,
 from .features import (ExtendedSequence, build_h_whitelist, extract,
                        hgram_features, pair_features)
 from .sjt import sjt_enumerate
-from .model import (OrderingModel, TrainHyper, TrainingMeta, freeness,
-                    interpolate, load_model, log_partition,
-                    log_partition_and_expectation, save_model, score, train,
-                    uniform_model)
+from .model import (OrderingModel, TrainingMeta, freeness, interpolate,
+                    load_model, log_partition, log_partition_and_expectation,
+                    save_model, score, train, uniform_model)
 from .synthesis import (LanguageSpec, RngStream, SpecError,
                         cross_product_specs, permute_tree, sample_ordering,
                         synthesize_language)
@@ -26,7 +25,7 @@ from .langmodel import (TrigramLM, load_lm, perplexity, save_lm,
 __all__ = [
     "ConlluError", "DepTree", "ExtendedSequence", "FilterReport",
     "LanguageSpec", "LocalConfig", "OrderingModel", "RngStream", "SpecError",
-    "Token", "TrainHyper", "TrainingMeta", "TrigramLM", "build_h_whitelist",
+    "Token", "TrainingMeta", "TrigramLM", "build_h_whitelist",
     "cross_product_specs", "extract", "filter_for_generation", "freeness",
     "hgram_features", "interpolate", "is_projective", "load_lm", "load_model",
     "local_configs", "log_partition", "log_partition_and_expectation",

@@ -22,7 +22,7 @@ from . import __version__
 from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
                         select_source, tag_sequences, train_trigram,
                         word_sequences)
-from .model import TrainHyper, freeness, save_model, train
+from .model import freeness, save_model, train
 from .synthesis import (DEFAULT_LAMBDA, DEFAULT_SEED, LanguageSpec, SpecError,
                         load_language_models, synthesize_language)
 from .treebank import (ConlluError, filter_for_generation, is_projective,
@@ -56,11 +56,9 @@ def cmd_train(args) -> int:
     mode = "lenient" if args.lenient else "strict"
     trees = read_split(treebank_dir, language, "train", mode)
     projective = [t for t in trees if is_projective(t)]
-    hyper = TrainHyper(max_iterations=args.max_iterations,
-                       grad_tolerance=args.tolerance)
     configs = {pos_class: [c for t in projective for c in local_configs(t, pos_class)]
                for pos_class in ("N", "V")}
-    models = [train(configs[pos_class], None, hyper, language=language,
+    models = [train(configs[pos_class], None, language=language,
                     pos_class=pos_class) for pos_class in configs]
     # write only once both classes have trained
     out_dir = Path(args.out)
@@ -71,6 +69,10 @@ def cmd_train(args) -> int:
         meta = model.training_meta
         print(f"{language}\t{model.pos_class}\t{len(configs[model.pos_class])}"
               f"\t{meta.iterations}\t{meta.objective:.6f}\t{meta.converged}")
+        if not meta.converged:
+            print(f"warning: {language} {model.pos_class}: training stopped after "
+                  f"{meta.iterations} iterations before converging (gradient "
+                  f"inf-norm {meta.grad_inf_norm:.3g})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -220,6 +222,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _add_synthesis_options(p: argparse.ArgumentParser) -> None:
+    """The options `permute` and `batch` share."""
+    p.add_argument("--data", required=True,
+                   help="root directory of substrate language directories")
+    p.add_argument("--models", required=True, help="directory of trained models")
+    p.add_argument("--out", required=True, help="output root directory")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"random seed (default {DEFAULT_SEED})")
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+                   help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
+    p.add_argument("--strict", action="store_true",
+                   help="error on unknown tags/relations instead of passing through")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deporder",
@@ -238,44 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", help="language id (default: treebank directory name)")
     p.add_argument("--lenient", action="store_true",
                    help="tolerate unknown tags/relations and skip broken sentences")
-    p.add_argument("--max-iterations", type=int, default=200,
-                   help="optimizer iteration cap (default 200)")
-    p.add_argument("--tolerance", type=float, default=1e-5,
-                   help="gradient infinity-norm stopping tolerance (default 1e-5)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("permute", help="synthesize one language from a spec")
     p.add_argument("--spec", required=True,
                    help="spec/directory name, e.g. en~fr@N~hi@V")
-    p.add_argument("--data", required=True,
-                   help="root directory of substrate language directories")
-    p.add_argument("--models", required=True, help="directory of trained models")
-    p.add_argument("--out", required=True, help="output root directory")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                   help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
-    p.add_argument("--strict", action="store_true",
-                   help="error on unknown tags/relations instead of passing through")
+    _add_synthesis_options(p)
     p.set_defaults(func=cmd_permute)
 
     p = sub.add_parser("batch", help="synthesize many languages from a spec list")
     p.add_argument("--specs", required=True,
                    help="newline-delimited file of spec names")
-    p.add_argument("--data", required=True,
-                   help="root directory of substrate language directories")
-    p.add_argument("--models", required=True, help="directory of trained models")
-    p.add_argument("--out", required=True, help="output root directory")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                   help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
+    _add_synthesis_options(p)
     # argparse passes a string default through `type` too
     p.add_argument("--jobs", type=_positive_int,
                    default=os.environ.get(JOBS_ENV_VAR, "1"),
                    help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)")
-    p.add_argument("--strict", action="store_true",
-                   help="error on unknown tags/relations instead of passing through")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stats", help="sentence/token counts, touched fraction, freeness")

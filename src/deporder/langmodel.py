@@ -156,6 +156,13 @@ def lm_to_text(lm: TrigramLM) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count(text: str, lineno: int) -> int:
+    """A count field of line `lineno`: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise ValueError(f"line {lineno}: {text.strip()!r} is not a non-negative integer")
+    return int(text)
+
+
 def lm_from_text(text: str) -> TrigramLM:
     mode = ""
     oov_threshold = DEFAULT_OOV_THRESHOLD
@@ -169,9 +176,9 @@ def lm_from_text(text: str) -> TrigramLM:
         if line.startswith("#mode "):
             mode = line[len("#mode "):].strip()
         elif line.startswith("#oov_threshold "):
-            oov_threshold = int(line[len("#oov_threshold "):])
+            oov_threshold = _count(line[len("#oov_threshold "):], lineno)
         elif line.startswith("#vocab_size "):
-            declared_vocab = int(line[len("#vocab_size "):])
+            declared_vocab = _count(line[len("#vocab_size "):], lineno)
         elif line.startswith("#"):
             raise ValueError(f"line {lineno}: unknown header {line!r}")
         else:
@@ -179,8 +186,8 @@ def lm_from_text(text: str) -> TrigramLM:
             parts = gram.split(" ")
             if not sep or len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected `w1 w2 w3\\t<count>`")
-            trigrams[tuple(parts)] = int(count)
-            histories[(parts[0], parts[1])] += int(count)
+            trigrams[tuple(parts)] = _count(count, lineno)
+            histories[(parts[0], parts[1])] += trigrams[tuple(parts)]
             symbols.update(parts)
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")

@@ -31,15 +31,18 @@ from .treebank import HEAD_RELATION, LocalConfig, local_configs
 MODEL_FORMAT_VERSION = 1
 LN2 = math.log(2.0)
 MAX_TRAIN_SIZE = 6  # training drops configurations with more elements
+PRIOR = 1.0  # precision of the Gaussian prior on each weight
+GRAD_TOLERANCE = 1e-6  # training stops once the gradient's inf-norm is this small
+MAX_ITERATIONS = 1000
 
 
 @dataclass
 class TrainingMeta:
     """Convergence record for one optimization run.
 
-    `objective` is the mean log-likelihood per training configuration at the
-    final weights; `converged` is False when the iteration cap stopped the
-    run first.
+    `objective` is the penalized mean log-likelihood per training
+    configuration at the final weights (see `train`); `converged` is False
+    when `MAX_ITERATIONS` or float precision stopped the run first.
     """
 
     iterations: int
@@ -241,14 +244,6 @@ def mean_log_likelihood(model: OrderingModel, configs: Sequence[LocalConfig]) ->
     return sum(log_likelihood(model, c) for c in configs) / len(configs)
 
 
-@dataclass
-class TrainHyper:
-    """Full-batch gradient ascent with backtracking line search."""
-
-    max_iterations: int = 200
-    grad_tolerance: float = 1e-5
-
-
 class _CompiledCorpus:
     """Deduplicated training configurations, each kept as its ordering table.
 
@@ -296,19 +291,20 @@ class _CompiledCorpus:
 
 def train(configs: Sequence[LocalConfig],
           whitelist: AbstractSet[str] | None = None,
-          hyper: TrainHyper | None = None,
           language: str = "",
           pos_class: str = "N") -> OrderingModel:
-    """Maximum-likelihood weights for the observed orders of `configs`.
+    """MAP weights for the observed orders of `configs` under a unit Gaussian prior.
 
     Each configuration's element order is its observed ordering.
     Configurations with more than `MAX_TRAIN_SIZE` elements are dropped.  When
     `whitelist` is None it is derived from the observed orders with
-    `build_h_whitelist`.  The objective is concave; gradient ascent with
-    backtracking runs until the gradient infinity norm falls below tolerance
-    or the iteration cap is hit (recorded in `training_meta`).
+    `build_h_whitelist`.  The objective is the mean log-likelihood minus
+    `0.5 * PRIOR * |theta|^2 / len(usable)`, a prior of precision `PRIOR` on
+    the summed log-likelihood; it is strictly concave with a finite
+    maximizer.  Polak-Ribiere (PR+) conjugate-gradient ascent with
+    backtracking runs until the gradient infinity norm falls to
+    `GRAD_TOLERANCE` or `MAX_ITERATIONS` is hit (recorded in `training_meta`).
     """
-    hyper = hyper or TrainHyper()
     usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
     dropped = len(configs) - len(usable)
     if not usable:
@@ -317,27 +313,38 @@ def train(configs: Sequence[LocalConfig],
         whitelist = features.build_h_whitelist(usable)
 
     corpus = _CompiledCorpus(usable, whitelist)
+    precision = PRIOR / corpus.total
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = corpus.objective_and_gradient(theta)
+        return value - 0.5 * precision * float(theta @ theta), grad - precision * theta
+
     theta = np.zeros(len(corpus.name_index))
-    value, grad = corpus.objective_and_gradient(theta)
+    value, grad = objective(theta)
+    direction = grad
     history = [value]
     step = 1.0
     iterations = 0
-    converged = bool(np.max(np.abs(grad), initial=0.0) <= hyper.grad_tolerance)
-    while not converged and iterations < hyper.max_iterations:
+    converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOLERANCE)
+    while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
-        gg = float(grad @ grad)
+        slope = float(grad @ direction)
+        if slope <= 0.0:  # not an ascent direction: restart along the gradient
+            direction, slope = grad, float(grad @ grad)
         while True:
-            candidate = theta + step * grad
-            new_value, new_grad = corpus.objective_and_gradient(candidate)
-            if new_value >= value + 1e-4 * step * gg or step < 1e-12:
+            candidate = theta + step * direction
+            new_value, new_grad = objective(candidate)
+            if new_value >= value + 1e-4 * step * slope or step < 1e-12:
                 break
             step /= 2.0
         if new_value <= value and step < 1e-12:
             break  # no achievable ascent direction at float precision
+        beta = max(0.0, float(new_grad @ (new_grad - grad)) / float(grad @ grad))
+        direction = new_grad + beta * direction
         theta, value, grad = candidate, new_value, new_grad
         history.append(value)
         step *= 2.0
-        converged = bool(np.max(np.abs(grad)) <= hyper.grad_tolerance)
+        converged = bool(np.max(np.abs(grad)) <= GRAD_TOLERANCE)
 
     weights = {name: float(theta[i]) for name, i in corpus.name_index.items()
                if theta[i] != 0.0}
@@ -433,7 +440,10 @@ def model_from_text(text: str) -> OrderingModel:
             name, sep, value = line.partition("\t")
             if not sep:
                 raise ValueError(f"line {lineno}: expected <name>\\t<weight>")
-            weight = float(value)
+            try:
+                weight = float(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: weight {value!r} is not a number") from None
             if not math.isfinite(weight):
                 raise ValueError(f"line {lineno}: weight {value!r} is not finite")
             weights[name] = weight

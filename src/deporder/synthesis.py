@@ -163,34 +163,28 @@ def permute_tree(tree: DepTree, model_n: OrderingModel | None,
                for pos_class, model in (("N", model_n), ("V", model_v))
                if model is not None
                for config in local_configs(tree, pos_class)}
-    plans: dict[int, tuple[list[Token], tuple[int, ...]]] = {}
-
-    def plan(head: Token) -> None:
+    # explicit stacks rather than recursion, so a tree of any depth fits
+    plans: dict[int, list[Token]] = {}  # each head's units in output order
+    heads = [tree.root]
+    while heads:
+        head = heads.pop()
         deps = dependents.get(head.index, [])
         units = sorted(deps + [head], key=lambda t: t.index)
         if head.index in sampled:
             order = sample_ordering(*sampled[head.index], rng)
-        else:
-            order = tuple(range(1, len(units) + 1))
-        plans[head.index] = (units, order)
-        for dep in deps:
-            plan(dep)
-
-    root = tree.root
-    plan(root)
+            units = [units[pos - 1] for pos in order]
+        plans[head.index] = units
+        heads.extend(reversed(deps))
 
     linearized: list[Token] = []
-
-    def emit(head: Token) -> None:
-        units, order = plans[head.index]
-        for pos in order:
-            unit = units[pos - 1]
-            if unit.index == head.index:
-                linearized.append(unit)
-            else:
-                emit(unit)
-
-    emit(root)
+    pending = [(tree.root, True)]  # (token, whether to expand its subtree)
+    while pending:
+        tok, expand = pending.pop()
+        if expand:
+            pending.extend((unit, unit.index != tok.index)
+                           for unit in reversed(plans[tok.index]))
+        else:
+            linearized.append(tok)
 
     index_map = {0: 0}
     for new_index, tok in enumerate(linearized, start=1):

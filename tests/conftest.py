@@ -17,6 +17,12 @@ def load_split(language, split="train"):
     return read_trees(UD_ROOT / language / f"{language}-ud-{split}.conllu")
 
 
+def chain_conllu(length):
+    """One projective sentence of `length` nouns, each heading the next."""
+    return "".join(f"{i}\tw{i}\tw{i}\tNOUN\t_\t_\t{i - 1}\t{'nmod' if i > 1 else 'root'}"
+                   "\t_\t_\n" for i in range(1, length + 1)) + "\n"
+
+
 def train_fixture_model(language, pos_class):
     trees = [t for t in load_split(language) if is_projective(t)]
     configs = [c for t in trees for c in local_configs(t, pos_class)]

@@ -9,8 +9,9 @@ import pytest
 from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
+from deporder.model import save_model, uniform_model
 
-from conftest import UD_ROOT
+from conftest import UD_ROOT, chain_conllu
 
 
 def run(capsys, *argv):
@@ -40,6 +41,20 @@ class TestTrainCommand:
             assert header == ["#lang sov", f"#pos {pos_class}"]
         assert out.splitlines()[0] == \
             "lang\tpos\tconfigs\titerations\tobjective\tconverged"
+
+    def test_unconverged_class_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("deporder.model.MAX_ITERATIONS", 1)
+        code, out, err = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                             "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == \
+            "lang\tpos\tconfigs\titerations\tobjective\tconverged"
+        assert [row.split("\t")[3:6:2] for row in out.splitlines()[1:]] \
+            == [["1", "False"], ["1", "False"]]
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        assert warnings[0].startswith("warning: xx N: ")
+        assert warnings[1].startswith("warning: xx V: ")
 
     def test_deterministic_artifacts(self, tmp_path, capsys):
         for sub in ("a", "b"):
@@ -247,6 +262,25 @@ class TestBatchCommand:
             f"done\t{name}" for name in names if name != "missing~sov@V"]
         assert reports[0][1].startswith("failed\tmissing~sov@V\t")
 
+    def test_deep_tree_spec_done(self, trained_dir, tmp_path, capsys):
+        # a 1,200-level chain is deeper than Python's default recursion limit
+        data, models = tmp_path / "data", tmp_path / "models"
+        shutil.copytree(UD_ROOT / "xx", data / "xx")
+        shutil.copytree(trained_dir, models)
+        (data / "cc").mkdir()
+        for split in ("train", "dev", "test"):
+            (data / "cc" / f"cc-ud-{split}.conllu").write_text(chain_conllu(1200))
+        for pos_class in ("N", "V"):
+            save_model(uniform_model("cc", pos_class),
+                       models / f"cc-{pos_class}.model")
+        specs = tmp_path / "specs.txt"
+        specs.write_text("cc~xx@N\nxx~sov@V\n")
+        code, out, err = run(capsys, "batch", "--specs", str(specs),
+                             "--data", str(data), "--models", str(models),
+                             "--out", str(tmp_path / "out"))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == ["done\tcc~xx@N", "done\txx~sov@V"]
+
     def test_dead_worker_fails_each_spec(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_synthesize_one", _kill_worker)
         specs = tmp_path / "specs.txt"
@@ -398,5 +432,3 @@ class TestParser:
         ppl = parser.parse_args(["perplexity", "--eval", "x", "--train", "y"])
         assert ppl.oov_threshold == 10
         assert ppl.mode == "tag"
-        tr = parser.parse_args(["train", "--treebank", "x", "--out", "y"])
-        assert tr.max_iterations == 200 and tr.tolerance == 1e-5

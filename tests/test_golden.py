@@ -9,38 +9,40 @@ under OUT_DIR/out.
 """
 
 import hashlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from deporder import __version__
 from deporder.synthesis import LanguageSpec, synthesize_language
 
 from conftest import UD_ROOT, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "82d21eea99bf8cfd041ab89d0475d4eff85ec90a664600ebc88bf71d24fd43d5",
+        "05ad51468b1e406690a6b2986e8dbd73cb6e3d270daab2106352d5ddbfbbc2ac",
     "nadj-V.model":
-        "88234d0d1e85adbb22de0ec180bc0ac2bc91a57a61ef7fb885b4cc05d5ffef2e",
+        "ba35417bb9f88fd58f931f3cbe02a53b65800908bf78a03f6cadace2a29a0d8f",
     "sov-N.model":
-        "394e4ca53f72cb74587bad8bd4d20ce61edfd419d461bdc0718b1e2c7ddc1e4d",
+        "ef21001a886ed45aac05fa4698282889c7491356de66ce70ed5ce7914aedaff6",
     "sov-V.model":
-        "813230970ad93ffc8cfc6d4c43c2fb5f63bc1b18e9f86abcffc4391663fbde31",
+        "fab8c13d620769eeaeebeb532b19c0a1c066ea4e89591b7ada678a9c1cb3d36e",
     "xx-N.model":
-        "c8a2e78dcf088e98f264af137ce5b9e62a8cc972cd575529e43fa4350d127fdc",
+        "d71a9f586b50b7d23bf60c54e95930f8f0f9d6fe04dab9b0fb22eb1d625a4279",
     "xx-V.model":
-        "a0065308f2b2bdd6cc49b796d53a0a783a01215db8bc08a369e187fe8ca5a4a2",
+        "c7e440d57a009658c7948f69700f2121961c5ac272bba797dc5f94a7128ee3fb",
 }
 
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "2e266a58c4d3fd2be5deed927f4acdd6a85086390cc1581b89f88813663beb96",
+        "b3cc286b458e78f919c4b14e15f411ddbd57fc49469bb5a2db471b033e0699fa",
     "xx~nadj@N~sov@V":
-        "9b42e08cee6e9cbb725673b5bc8d534971462c077813712a1c37a6e4b170efc2",
+        "e6c84c8a840788c8209349a24b5abefd09e6b85f10e947183a5a587f763c93d9",
     "nadj~sov@V":
-        "5913a84359327a1dce0f46a898af85a851f3940b2b48ce62bdf66a295ffa874e",
+        "10df82d68961544f1d95966dee57520ee166e64a8550719f2f1cddd53e6e4843",
 }
 
 
@@ -69,6 +71,12 @@ def test_model_file_digest(fixture_model_dir, name):
 def test_synthesized_treebank_digest(fixture_model_dir, tmp_path, spec_name):
     assert synthesized_digest(spec_name, fixture_model_dir, tmp_path) \
         == TREEBANK_DIGESTS[spec_name]
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', text, re.MULTILINE) == [__version__]
 
 
 if __name__ == "__main__":

@@ -202,6 +202,14 @@ class TestPersistence:
         with pytest.raises(ValueError):
             lm_from_text(text)
 
+    @pytest.mark.parametrize("line", [
+        "NOUN NOUN NOUN\tabc", "NOUN NOUN NOUN\t-5", "NOUN NOUN NOUN\t2.5",
+        "#oov_threshold x", "#oov_threshold -1", "#vocab_size 19.0",
+    ])
+    def test_bad_count_names_its_line(self, line):
+        with pytest.raises(ValueError, match="line 2: "):
+            lm_from_text(f"#mode tag\n{line}\n")
+
     def test_missing_mode_rejected(self):
         with pytest.raises(ValueError):
             lm_from_text("#vocab_size 3\n")

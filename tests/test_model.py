@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from deporder.features import extract, normalize_symbol
-from deporder.model import (OrderingModel, TrainHyper, _CompiledCorpus,
-                            enumerate_scores, freeness, interpolate, log_likelihood,
+from deporder.model import (GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
+                            OrderingModel, _CompiledCorpus, enumerate_scores,
+                            freeness, interpolate, log_likelihood,
                             log_partition, log_partition_and_expectation,
                             mean_log_likelihood, model_from_text,
                             model_to_text, score, train, uniform_model)
 from deporder.sjt import sjt_enumerate
-from deporder.treebank import LocalConfig, filter_for_generation
+from deporder.treebank import (LocalConfig, filter_for_generation,
+                               is_projective, local_configs)
+
+from conftest import load_split, train_fixture_model
 
 SUBTREE = LocalConfig("NOUN", "dobj",
                       (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
@@ -294,6 +298,34 @@ class TestTrain:
         assert all(w != 0.0 for w in sov_v_model.weights.values())
         assert "L.INTJ.discourse" not in sov_v_model.weights
 
+    @pytest.mark.parametrize("language", ["xx", "sov", "nadj"])
+    @pytest.mark.parametrize("pos_class", ["N", "V"])
+    def test_fixture_models_converge(self, language, pos_class):
+        meta = train_fixture_model(language, pos_class).training_meta
+        assert meta.converged
+        assert meta.grad_inf_norm <= GRAD_TOLERANCE
+
+    def test_matches_scipy_on_the_penalized_objective(self):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        trees = [t for t in load_split("xx") if is_projective(t)]
+        configs = [c for t in trees for c in local_configs(t, "N")
+                   if c.n <= MAX_TRAIN_SIZE]
+        model = train(configs, None)
+        corpus = _CompiledCorpus(configs, model.h_whitelist)
+        precision = PRIOR / corpus.total
+
+        def negated(theta):
+            value, grad = corpus.objective_and_gradient(theta)
+            return (0.5 * precision * theta @ theta - value,
+                    precision * theta - grad)
+
+        result = minimize(negated, np.zeros(len(corpus.name_index)), jac=True,
+                          method="L-BFGS-B",
+                          options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+        theta = np.array([model.weights.get(name, 0.0) for name in corpus.name_index])
+        assert np.max(np.abs(theta - result.x)) < 1e-4
+        assert abs(model.training_meta.objective + result.fun) < 1e-8
+
     def test_derived_whitelist(self):
         model = train([SUBTREE] * 5)  # whitelist defaults to the top observed H names
         assert model.h_whitelist
@@ -385,7 +417,7 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             model_from_text("#lang x\n#version 1\n")
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "abc"])
     def test_bad_weight_names_its_line(self, weight):
         with pytest.raises(ValueError, match="line 4"):
             model_from_text(f"#lang x\n#pos N\n#version 1\nA.BOS.BOS.X.head\t{weight}\n")

@@ -15,9 +15,9 @@ from deporder.synthesis import (DEFAULT_LAMBDA, LanguageSpec, RngStream,
                                 sample_ordering, synthesize_language)
 from deporder.treebank import (DepTree, LocalConfig, Token,
                                filter_for_generation, is_projective,
-                               parse_conllu)
+                               parse_conllu, validate_tree)
 
-from conftest import UD_ROOT, load_split
+from conftest import UD_ROOT, chain_conllu, load_split
 
 DET_PAIR = LocalConfig("X", "dep", (("DET", "det"), ("X", "head")))
 DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0}, frozenset())
@@ -154,6 +154,13 @@ class TestPermuteTree:
             orig = sorted(int(t.misc.rsplit("OrigIdx=", 1)[1]) for t in out.tokens)
             assert orig == list(range(1, len(tree.tokens) + 1))
             assert out.ranges == ()
+
+    def test_tree_deeper_than_the_recursion_limit(self, xx_models):
+        (chain,) = parse_conllu(chain_conllu(1200))
+        out = permute_tree(chain, xx_models[0], None, RngStream("chain"))
+        validate_tree(out)
+        assert is_projective(out)
+        assert sorted(t.form for t in out.tokens) == sorted(t.form for t in chain.tokens)
 
     def test_unfiltered_input_rejected(self):
         crossing = DepTree((
