@@ -105,9 +105,9 @@ def cmd_batch(args) -> int:
     if not specs_path.exists():
         raise FileNotFoundError(f"missing spec list {specs_path}")
     # a repeated name would have two workers writing one directory
+    lines = map(str.strip, specs_path.read_text(encoding="utf-8").splitlines())
     names = list(dict.fromkeys(
-        line.strip() for line in specs_path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")))
+        line for line in lines if line and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
     calls = [functools.partial(_synthesize_one, name, args.lam, args.seed,
                                args.data, args.models, args.out, mode)
@@ -222,6 +222,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _add_synthesis_options(p: argparse.ArgumentParser) -> None:
     """The options `permute` and `batch` share."""
     p.add_argument("--data", required=True,
@@ -287,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lm", help="previously saved language model")
     p.add_argument("--mode", choices=("tag", "word"), default="tag",
                    help="model over POS tags or word forms (default tag)")
-    p.add_argument("--oov-threshold", type=int, default=DEFAULT_OOV_THRESHOLD,
+    p.add_argument("--oov-threshold", type=_non_negative_int,
+                   default=DEFAULT_OOV_THRESHOLD,
                    help="word mode: training count below which words become OOV "
                         f"(default {DEFAULT_OOV_THRESHOLD})")
     p.add_argument("--save-lm", help="write the trained model to this file")

@@ -88,14 +88,20 @@ def train_trigram(sequences: Sequence[Sequence[str]], mode: str = "tag",
         vocabulary = set(UPOS_TAGS) | {BOS, EOS}
 
     trigrams: Counter = Counter()
-    histories: Counter = Counter()
     for seq in sequences:
         padded = [BOS, BOS] + [mapped(tok) for tok in seq] + [EOS]
         for k in range(2, len(padded)):
             trigrams[(padded[k - 2], padded[k - 1], padded[k])] += 1
-            histories[(padded[k - 2], padded[k - 1])] += 1
     return TrigramLM(mode, frozenset(vocabulary), dict(trigrams),
-                     dict(histories), oov_threshold)
+                     _histories(trigrams), oov_threshold)
+
+
+def _histories(trigrams: dict[tuple[str, str, str], int]) -> dict[tuple[str, str], int]:
+    """Count of each history (w1, w2): the sum of its trigrams' counts."""
+    histories: Counter = Counter()
+    for (w1, w2, _), count in trigrams.items():
+        histories[(w1, w2)] += count
+    return dict(histories)
 
 
 def perplexity(lm: TrigramLM, sequences: Sequence[Sequence[str]]) -> float:
@@ -168,7 +174,6 @@ def lm_from_text(text: str) -> TrigramLM:
     oov_threshold = DEFAULT_OOV_THRESHOLD
     declared_vocab = -1
     trigrams: dict[tuple[str, str, str], int] = {}
-    histories: Counter = Counter()
     symbols: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -183,11 +188,12 @@ def lm_from_text(text: str) -> TrigramLM:
             raise ValueError(f"line {lineno}: unknown header {line!r}")
         else:
             gram, sep, count = line.partition("\t")
-            parts = gram.split(" ")
+            parts = tuple(gram.split(" "))
             if not sep or len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected `w1 w2 w3\\t<count>`")
-            trigrams[tuple(parts)] = _count(count, lineno)
-            histories[(parts[0], parts[1])] += trigrams[tuple(parts)]
+            if parts in trigrams:
+                raise ValueError(f"line {lineno}: repeated trigram {gram!r}")
+            trigrams[parts] = _count(count, lineno)
             symbols.update(parts)
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")
@@ -198,7 +204,7 @@ def lm_from_text(text: str) -> TrigramLM:
     if declared_vocab >= 0 and declared_vocab != len(vocabulary):
         raise ValueError(f"vocabulary size mismatch: header says {declared_vocab}, "
                          f"reconstructed {len(vocabulary)}")
-    return TrigramLM(mode, vocabulary, trigrams, dict(histories), oov_threshold)
+    return TrigramLM(mode, vocabulary, trigrams, _histories(trigrams), oov_threshold)
 
 
 def save_lm(lm: TrigramLM, path: str | Path) -> None:

@@ -184,18 +184,37 @@ def _check_tree_structure(tokens: list[Token], first_line: int) -> None:
         raise ConlluError("head indices contain a cycle", first_line)
 
 
-def _finish_sentence(comments: list[str], tokens: list[Token],
-                     ranges: list[tuple[int, str]], ordinal: int,
-                     first_line: int) -> DepTree:
+def _parse_block(lines: list[str], first_line: int, ordinal: int, strict: bool) -> DepTree:
+    """The tree of one block of non-blank lines; ConlluError at its first malformed line."""
+    comments: list[str] = []
+    tokens: list[Token] = []
+    ranges: list[tuple[int, str]] = []
+    for lineno, line in enumerate(lines, start=first_line):
+        if line.startswith("#"):
+            if tokens and strict:
+                raise ConlluError("comment after token lines", lineno)
+            comments.append(line)
+            continue
+        fields = line.split("\t")
+        if len(fields) != 10:
+            raise ConlluError(f"expected 10 columns, found {len(fields)}", lineno)
+        if not fields[0].isdecimal():  # a multiword range or an empty node
+            if _RANGE_ID.match(fields[0]):
+                ranges.append((len(tokens) + 1, line))
+                continue
+            if _DECIMAL_ID.match(fields[0]):
+                raise ConlluError(f"decimal token id {fields[0]!r} not supported", lineno)
+        tok = _parse_token(fields, lineno)
+        if tok.index != len(tokens) + 1:
+            raise ConlluError(f"token id {tok.index} out of sequence", lineno)
+        if strict:
+            _check_closed_sets(tok, lineno)
+        tokens.append(tok)
     if not tokens:
         raise ConlluError("sentence block has no token lines", first_line)
     _check_tree_structure(tokens, first_line)
-    source_id = f"s{ordinal}"
-    for c in comments:
-        m = _SENT_ID.match(c)
-        if m:
-            source_id = m.group(1)
-            break
+    source_id = next((m.group(1) for m in map(_SENT_ID.match, comments) if m),
+                     f"s{ordinal}")
     return DepTree(tuple(tokens), tuple(comments), tuple(ranges), source_id)
 
 
@@ -205,66 +224,27 @@ def parse_conllu(text: str, mode: str = "strict") -> list[DepTree]:
     Strict mode raises ConlluError on structural problems (column counts,
     bad head indices, cycles, root count) and on POS tags or relation
     prefixes outside the closed universal sets.  Lenient mode passes
-    unknown tags and relations through verbatim and skips structurally
-    broken sentences with a logged warning.
+    unknown tags and relations through verbatim and skips malformed
+    sentences with a logged warning.  A sentence without a sent_id comment
+    is named `s<k>`, k counting the sentences kept.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode {mode!r}")
     trees: list[DepTree] = []
-    comments: list[str] = []
-    tokens: list[Token] = []
-    ranges: list[tuple[int, str]] = []
-    first_line = 1
-    broken: ConlluError | None = None
-
-    def flush(lineno: int) -> None:
-        nonlocal comments, tokens, ranges, broken
-        if comments or tokens or ranges:
-            err = broken
-            if err is None:
-                try:
-                    trees.append(_finish_sentence(comments, tokens, ranges,
-                                                  len(trees) + 1, first_line))
-                except ConlluError as exc:
-                    err = exc
-            if err is not None:
+    block: list[str] = []
+    # a blank line past the end closes the last block
+    for lineno, line in enumerate(text.split("\n") + [""], start=1):
+        if line.strip():
+            block.append(line)
+        elif block:
+            try:
+                trees.append(_parse_block(block, lineno - len(block),
+                                          len(trees) + 1, mode == "strict"))
+            except ConlluError as exc:
                 if mode == "strict":
-                    raise err
-                logger.warning("skipping malformed sentence: %s", err)
-        comments, tokens, ranges, broken = [], [], [], None
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.strip() == "":
-            flush(lineno)
-            first_line = lineno + 1
-            continue
-        if broken is not None:
-            continue
-        try:
-            if line.startswith("#"):
-                if tokens and mode == "strict":
-                    raise ConlluError("comment after token lines", lineno)
-                comments.append(line)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 10:
-                raise ConlluError(f"expected 10 columns, found {len(fields)}", lineno)
-            if _RANGE_ID.match(fields[0]):
-                ranges.append((len(tokens) + 1, line))
-                continue
-            if _DECIMAL_ID.match(fields[0]):
-                raise ConlluError(f"decimal token id {fields[0]!r} not supported", lineno)
-            tok = _parse_token(fields, lineno)
-            if tok.index != len(tokens) + 1:
-                raise ConlluError(f"token id {tok.index} out of sequence", lineno)
-            if mode == "strict":
-                _check_closed_sets(tok, lineno)
-            tokens.append(tok)
-        except ConlluError as exc:
-            if mode == "strict":
-                raise
-            broken = exc
-    flush(lineno + 1 if text else 1)
+                    raise
+                logger.warning("skipping malformed sentence: %s", exc)
+            block = []
     return trees
 
 
@@ -319,23 +299,21 @@ def children_map(tree: DepTree) -> dict[int, list[Token]]:
 
 
 def is_projective(tree: DepTree) -> bool:
-    """True iff every token strictly between an arc's endpoints descends from the arc's head."""
+    """True iff every token strictly between an arc's endpoints descends from the arc's head.
+
+    Tested as: each such token's head lies in the arc's span, ends included.
+    Enough: a head chain inside the span reaches an end, and both ends
+    descend from the arc's head.  Needed: if an inner token k had its head
+    g outside, the arc g->k would cover an end, which must descend from g,
+    while k descends from the arc's head: g and that head would form a cycle.
+    """
     head_of = {tok.index: tok.head for tok in tree.tokens}
-
-    def under(node: int, ancestor: int) -> bool:
-        while node != 0:
-            node = head_of[node]
-            if node == ancestor:
-                return True
-        return False
-
     for tok in tree.tokens:
-        h = tok.head
-        if h == 0:
+        if tok.head == 0:
             continue
-        lo, hi = min(h, tok.index), max(h, tok.index)
+        lo, hi = min(tok.head, tok.index), max(tok.head, tok.index)
         for k in range(lo + 1, hi):
-            if not under(k, h):
+            if not lo <= head_of[k] <= hi:
                 return False
     return True
 

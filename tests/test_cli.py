@@ -86,6 +86,43 @@ class TestTrainCommand:
         assert not (tmp_path / "models").exists()
 
 
+class TestParseModes:
+    """`train` parses strictly unless --lenient; `permute` leniently unless --strict."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(UD_ROOT / "xx", root / "xx")
+        train = root / "xx" / "xx-ud-train.conllu"
+        lines = train.read_text(encoding="utf-8").split("\n")
+        k = next(k for k, line in enumerate(lines) if "\tNOUN\t" in line)
+        lines[k] = lines[k].replace("\tNOUN\t", "\tBLORP\t")
+        train.write_text("\n".join(lines), encoding="utf-8")
+        return root, k + 1
+
+    def test_train(self, data, tmp_path, capsys):
+        root, lineno = data
+        code, _, err = run(capsys, "train", "--treebank", str(root / "xx"),
+                           "--out", str(tmp_path / "strict"))
+        assert code == EXIT_BAD_DATA
+        assert f"line {lineno}: unknown POS tag 'BLORP'" in err
+        code, _, _ = run(capsys, "train", "--treebank", str(root / "xx"),
+                         "--out", str(tmp_path / "lenient"), "--lenient")
+        assert code == EXIT_OK
+
+    def test_permute(self, data, trained_dir, tmp_path, capsys):
+        root, lineno = data
+        argv = ["permute", "--spec", "xx~sov@V", "--data", str(root),
+                "--models", str(trained_dir)]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "lenient"))
+        assert code == EXIT_OK
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "strict"),
+                           "--strict")
+        assert code == EXIT_BAD_DATA
+        assert f"line {lineno}: unknown POS tag 'BLORP'" in err
+        assert not (tmp_path / "strict" / "xx~sov@V").exists()
+
+
 class TestPermuteCommand:
     def test_byte_identical_reruns(self, trained_dir, tmp_path, capsys):
         for sub in ("one", "two"):
@@ -162,7 +199,8 @@ def _kill_worker(*args):
 class TestBatchCommand:
     def test_serial_and_parallel_agree(self, trained_dir, tmp_path, capsys):
         specs = tmp_path / "specs.txt"
-        specs.write_text("xx~sov@V\nsov~nadj@N\n# comment line\n")
+        specs.write_text("xx~sov@V\n  # indented comment\nsov~nadj@N\n"
+                         "# comment line\n")
         for sub, jobs in (("serial", "1"), ("parallel", "2")):
             code, out, _ = run(capsys, "batch", "--specs", str(specs),
                                "--data", str(UD_ROOT),
@@ -345,6 +383,16 @@ class TestPerplexityCommand:
         code, out, _ = run(capsys, "perplexity", "--lm", str(lm_path),
                            "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"))
         assert code == EXIT_OK
+
+    def test_negative_oov_threshold_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["perplexity", "--mode", "word", "--oov-threshold", "-1",
+                  "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+                  "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"),
+                  "--save-lm", str(tmp_path / "m.lm")])
+        assert err.value.code == 2
+        assert "'-1' is not a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "m.lm").exists()
 
     def test_mode_mismatch(self, tmp_path, capsys):
         lm_path = tmp_path / "m.lm"

@@ -210,6 +210,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 2: "):
             lm_from_text(f"#mode tag\n{line}\n")
 
+    def test_repeated_trigram_rejected(self):
+        # with both lines kept the history would count 3 against a trigram
+        # count of 2, and the conditionals would sum to 0.952
+        with pytest.raises(ValueError,
+                           match="line 3: repeated trigram 'NOUN NOUN NOUN'"):
+            lm_from_text("#mode tag\nNOUN NOUN NOUN\t1\nNOUN NOUN NOUN\t2\n")
+
     def test_missing_mode_rejected(self):
         with pytest.raises(ValueError):
             lm_from_text("#vocab_size 3\n")

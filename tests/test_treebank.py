@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -61,25 +63,40 @@ class TestParse:
         assert tree.ranges == ((2, "2-3\tdela\t_\t_\t_\t_\t_\t_\t_\t_"),)
         assert serialize_conllu([tree]) == text
 
-    @pytest.mark.parametrize("bad,fragment", [
-        ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n\n", "10 columns"),
-        ("1\tX\tx\tNOUN\t_\t_\tq\troot\t_\t_\n\n", "non-integer head"),
+    # (text, message fragment, ConlluError.line)
+    STRICT_ERRORS = [
+        ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n\n", "10 columns", 1),
+        ("1\tX\tx\tNOUN\t_\t_\tq\troot\t_\t_\n\n", "non-integer head", 1),
         ("1\tX\tx\tNOUN\t_\t_\t2\tdep\t_\t_\n"
-         "2\tY\ty\tNOUN\t_\t_\t1\tdep\t_\t_\n\n", "root"),
+         "2\tY\ty\tNOUN\t_\t_\t1\tdep\t_\t_\n\n", "root", 1),
         ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
-         "2\tY\ty\tNOUN\t_\t_\t0\troot\t_\t_\n\n", "root"),
+         "2\tY\ty\tNOUN\t_\t_\t0\troot\t_\t_\n\n", "root", 1),
         ("1\tX\tx\tNOUN\t_\t_\t2\tdep\t_\t_\n"
          "2\tY\ty\tNOUN\t_\t_\t1\tdep\t_\t_\n"
-         "3\tZ\tz\tNOUN\t_\t_\t0\troot\t_\t_\n\n", "cycle"),
-        ("1\tX\tx\tNOUN\t_\t_\t1\troot\t_\t_\n\n", "own head"),
-        ("1\tX\tx\tBLORP\t_\t_\t0\troot\t_\t_\n\n", "POS"),
-        ("1\tX\tx\tNOUN\t_\t_\t0\tzzz\t_\t_\n\n", "relation"),
-    ])
-    def test_strict_errors_positioned(self, bad, fragment):
+         "3\tZ\tz\tNOUN\t_\t_\t0\troot\t_\t_\n\n", "cycle", 1),
+        ("1\tX\tx\tNOUN\t_\t_\t1\troot\t_\t_\n\n", "own head", 1),
+        ("1\tX\tx\tBLORP\t_\t_\t0\troot\t_\t_\n\n", "POS", 1),
+        ("1\tX\tx\tNOUN\t_\t_\t0\tzzz\t_\t_\n\n", "relation", 1),
+        # a line fault in the second block
+        ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+         "# sent_id = b\n1\tY\ty\tNOUN\t_\t_\t0\troot\t_\t_\n"
+         "3\tZ\tz\tNOUN\t_\t_\t1\tdep\t_\t_\n\n", "out of sequence", 5),
+        # a block fault is reported at the block's first line
+        ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n\n\n"
+         "# sent_id = b\n1\tY\ty\tNOUN\t_\t_\t3\tdep\t_\t_\n"
+         "2\tZ\tz\tNOUN\t_\t_\t0\troot\t_\t_\n\n", "out of range", 4),
+        ("\n \n# only a comment\n# and another\n\n", "no token lines", 3),
+    ]
+
+    # ids name each case by its text and fragment, as pytest would
+    @pytest.mark.parametrize("bad,fragment,line", STRICT_ERRORS,
+                             ids=[f"{bad}-{fragment}" for bad, fragment, _ in STRICT_ERRORS])
+    def test_strict_errors_positioned(self, bad, fragment, line):
         with pytest.raises(ConlluError) as err:
             parse_conllu(bad, "strict")
         assert fragment in str(err.value)
-        assert err.value.line is not None
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
 
     def test_lenient_passes_unknown_values_through(self):
         text = "1\tX\tx\tBLORP\t_\t_\t0\tzzz:sub\t_\t_\n\n"
@@ -93,6 +110,34 @@ class TestParse:
                 "1\tY\ty\tNOUN\t_\t_\t0\troot\t_\t_\n\n")
         trees = parse_conllu(text, "lenient")
         assert [t.tokens[0].form for t in trees] == ["Y"]
+
+    def test_lenient_skip_takes_no_ordinal(self):
+        one = "1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        text = f"{one}\n1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n{one}\n{one}\n"
+        assert [t.source_id for t in parse_conllu(text, "lenient")] == ["s1", "s2"]
+
+    def test_lenient_keeps_late_comment(self):
+        text = ("# sent_id = c\n1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
+                "# late\n2\tY\ty\tADJ\t_\t_\t1\tamod\t_\t_\n\n")
+        tree, = parse_conllu(text, "lenient")
+        assert tree.comments == ("# sent_id = c", "# late")
+        assert [t.form for t in tree.tokens] == ["X", "Y"]
+        with pytest.raises(ConlluError, match="line 3: comment after token lines"):
+            parse_conllu(text, "strict")
+
+    @pytest.mark.parametrize("bad,line", [
+        ("1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n", 3),  # the block's first line
+        ("# c\n1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n", 4),
+        ("# only a comment\n", 3),
+    ])
+    def test_lenient_skip_is_logged(self, bad, line, caplog):
+        one = "1\tY\ty\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        with caplog.at_level("WARNING", logger="deporder.treebank"):
+            trees = parse_conllu(f"{one}\n{bad}\n{one}", "lenient")
+        assert len(trees) == 2
+        record, = caplog.records
+        assert record.getMessage().startswith(
+            f"skipping malformed sentence: line {line}: ")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -120,6 +165,33 @@ class TestSerialize:
         assert out.endswith("\n")
 
 
+def ancestor_walk_projective(tree):
+    """Reference: for every arc, walk up from each token strictly inside it."""
+    head_of = {t.index: t.head for t in tree.tokens}
+
+    def under(node, ancestor):
+        while node != 0:
+            node = head_of[node]
+            if node == ancestor:
+                return True
+        return False
+
+    return all(under(k, t.head)
+               for t in tree.tokens if t.head
+               for k in range(min(t.head, t.index) + 1, max(t.head, t.index)))
+
+
+def random_tree(rng, n):
+    """A random tree over positions 1..n: each node, in a shuffled order,
+    takes its head among the nodes placed before it."""
+    order = rng.sample(range(1, n + 1), n)
+    heads = {order[0]: 0}
+    for k, node in enumerate(order[1:], start=1):
+        heads[node] = order[rng.randrange(k)]
+    return make_tree([(i, "w", "NOUN", heads[i], "root" if heads[i] == 0 else "dep")
+                      for i in range(1, n + 1)])
+
+
 class TestProjectivity:
     def test_fig1_projective(self, fig1_tree):
         assert is_projective(fig1_tree)
@@ -132,24 +204,17 @@ class TestProjectivity:
                               (2, "b", "VERB", 0, "root"),
                               (3, "c", "VERB", 2, "ccomp"),
                               (4, "d", "ADV", 2, "advmod")])
-        # independent oracle: exhaustive interval test over all arcs
-        head_of = {t.index: t.head for t in crossing.tokens}
-
-        def descends(node, anc):
-            while node:
-                node = head_of[node]
-                if node == anc:
-                    return True
-            return False
-
-        violations = [
-            (t.head, t.index)
-            for t in crossing.tokens if t.head
-            for k in range(min(t.head, t.index) + 1, max(t.head, t.index))
-            if not descends(k, t.head)
-        ]
-        assert violations  # the 3->1 arc crosses
+        assert not ancestor_walk_projective(crossing)  # the 3->1 arc crosses
         assert not is_projective(crossing)
+
+    def test_span_test_equals_ancestor_walk(self):
+        rng = random.Random(8)
+        outcomes = []
+        for _ in range(20000):
+            tree = random_tree(rng, rng.randint(1, 10))
+            outcomes.append(ancestor_walk_projective(tree))
+            assert is_projective(tree) == outcomes[-1], tree
+        assert 0.2 < outcomes.count(False) / len(outcomes) < 0.8
 
 
 class TestFilter:
