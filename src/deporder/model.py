@@ -10,12 +10,14 @@ table cached per n, which breaks every ordering into slot-pair states
 distinct state's feature names are built once per configuration, and an
 ordering's score is the sum of its states' weights.  `score` extracts one
 ordering's features directly and is the reference the table is tested
-against.
+against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over one
+table per distinct training configuration.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -34,6 +36,7 @@ MAX_TRAIN_SIZE = 6  # training drops configurations with more elements
 PRIOR = 1.0  # precision of the Gaussian prior on each weight
 GRAD_TOLERANCE = 1e-6  # training stops once the gradient's inf-norm is this small
 MAX_ITERATIONS = 1000
+HISTORY = 10  # curvature pairs kept by L-BFGS
 
 
 @dataclass
@@ -43,6 +46,7 @@ class TrainingMeta:
     `objective` is the penalized mean log-likelihood per training
     configuration at the final weights (see `train`); `converged` is False
     when `MAX_ITERATIONS` or float precision stopped the run first.
+    `evaluations` counts objective-plus-gradient calls, line search included.
     """
 
     iterations: int
@@ -51,6 +55,7 @@ class TrainingMeta:
     converged: bool
     dropped_configs: int = 0
     objective_history: list[float] = field(default_factory=list)
+    evaluations: int = 0
 
 
 @dataclass
@@ -301,14 +306,19 @@ def train(configs: Sequence[LocalConfig],
     `build_h_whitelist`.  The objective is the mean log-likelihood minus
     `0.5 * PRIOR * |theta|^2 / len(usable)`, a prior of precision `PRIOR` on
     the summed log-likelihood; it is strictly concave with a finite
-    maximizer.  Polak-Ribiere (PR+) conjugate-gradient ascent with
-    backtracking runs until the gradient infinity norm falls to
-    `GRAD_TOLERANCE` or `MAX_ITERATIONS` is hit (recorded in `training_meta`).
+    maximizer.  L-BFGS ascent (the last `HISTORY` curvature pairs, initial
+    inverse curvature s.y / y.y, Armijo backtracking from step 1, or from
+    1/|grad|_inf while no pair is kept) runs until the gradient infinity norm
+    falls to `GRAD_TOLERANCE` or `MAX_ITERATIONS` is hit (recorded in
+    `training_meta`).  Raises ValueError, naming the language and POS class,
+    when no configuration is left to train.
     """
     usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
     dropped = len(configs) - len(usable)
     if not usable:
-        raise ValueError("no usable training configurations")
+        raise ValueError(
+            f"{language} {pos_class}: no usable training configurations "
+            f"(heads with more than {MAX_TRAIN_SIZE} elements dropped: {dropped})")
     if whitelist is None:
         whitelist = features.build_h_whitelist(usable)
 
@@ -321,36 +331,52 @@ def train(configs: Sequence[LocalConfig],
 
     theta = np.zeros(len(corpus.name_index))
     value, grad = objective(theta)
-    direction = grad
+    evaluations = 1
     history = [value]
-    step = 1.0
+    pairs: deque = deque(maxlen=HISTORY)  # (s, y, 1 / s.y), oldest first
     iterations = 0
     converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOLERANCE)
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
+        # two-loop recursion: direction = H grad, H the inverse curvature of -f
+        direction = grad.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ direction))
+            direction -= alphas[-1] * y
+        if pairs:  # initial inverse curvature s.y / y.y from the newest pair
+            _, y, rho = pairs[-1]
+            direction /= rho * float(y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction += (alpha - rho * float(y @ direction)) * s
         slope = float(grad @ direction)
         if slope <= 0.0:  # not an ascent direction: restart along the gradient
+            pairs.clear()
             direction, slope = grad, float(grad @ grad)
+        step = 1.0 if pairs else min(1.0, 1.0 / float(np.max(np.abs(grad))))
         while True:
             candidate = theta + step * direction
             new_value, new_grad = objective(candidate)
+            evaluations += 1
             if new_value >= value + 1e-4 * step * slope or step < 1e-12:
                 break
             step /= 2.0
         if new_value <= value and step < 1e-12:
             break  # no achievable ascent direction at float precision
-        beta = max(0.0, float(new_grad @ (new_grad - grad)) / float(grad @ grad))
-        direction = new_grad + beta * direction
+        s, y = candidate - theta, grad - new_grad
+        curvature = float(s @ y)
+        if curvature > 0.0:  # a pair without it would break H's positivity
+            pairs.append((s, y, 1.0 / curvature))
         theta, value, grad = candidate, new_value, new_grad
         history.append(value)
-        step *= 2.0
         converged = bool(np.max(np.abs(grad)) <= GRAD_TOLERANCE)
 
     weights = {name: float(theta[i]) for name, i in corpus.name_index.items()
                if theta[i] != 0.0}
     meta = TrainingMeta(iterations, float(value),
                         float(np.max(np.abs(grad), initial=0.0)), converged,
-                        dropped_configs=dropped, objective_history=history)
+                        dropped_configs=dropped, objective_history=history,
+                        evaluations=evaluations)
     return OrderingModel(language, pos_class, weights, frozenset(whitelist), meta)
 
 

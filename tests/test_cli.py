@@ -85,6 +85,30 @@ class TestTrainCommand:
         assert out == ""
         assert not (tmp_path / "models").exists()
 
+    # a VERB head over 5 ADVs and a NOUN has 7 elements, one more than training takes
+    WIDE_VERB = "".join(
+        f"{i}\tw\tw\t{tag}\t_\t_\t{head}\t{rel}\t_\t_\n" for i, tag, head, rel in
+        [(1, "DET", 2, "det"), (2, "NOUN", 3, "nsubj"), (3, "VERB", 0, "root")]
+        + [(i, "ADV", 3, "advmod") for i in range(4, 9)]) + "\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\truns\trun\tVERB\t_\t_\t0\troot\t_\t_\n\n",
+         "error: lg N: no usable training configurations "
+         "(heads with more than 6 elements dropped: 0)"),
+        ("",
+         "error: lg N: no usable training configurations "
+         "(heads with more than 6 elements dropped: 0)"),
+        (WIDE_VERB,
+         "error: lg V: no usable training configurations "
+         "(heads with more than 6 elements dropped: 1)"),
+    ], ids=["verb-only", "empty", "wide-verb"])
+    def test_untrainable_class_named(self, tmp_path, capsys, text, message):
+        (tmp_path / "lg").mkdir()
+        (tmp_path / "lg" / "lg-ud-train.conllu").write_text(text)
+        code, out, err = run(capsys, "train", "--treebank", str(tmp_path / "lg"),
+                             "--out", str(tmp_path / "models"))
+        assert (code, err, out) == (EXIT_BAD_DATA, message + "\n", "")
+
 
 class TestParseModes:
     """`train` parses strictly unless --lenient; `permute` leniently unless --strict."""

@@ -22,27 +22,27 @@ from conftest import UD_ROOT, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "05ad51468b1e406690a6b2986e8dbd73cb6e3d270daab2106352d5ddbfbbc2ac",
+        "e3b72a797dc9e48cf6d517dbddab2a855c296ed7caf752c605231cd18b2f2307",
     "nadj-V.model":
-        "ba35417bb9f88fd58f931f3cbe02a53b65800908bf78a03f6cadace2a29a0d8f",
+        "ac42e6166a48b3bd6763c7007eba7b3b4b1c76ee891502a3e61b823550ba11b5",
     "sov-N.model":
-        "ef21001a886ed45aac05fa4698282889c7491356de66ce70ed5ce7914aedaff6",
+        "7d2b8f791667db4d1deb33a700a713e0f169492ec9d99d6281ef4137c4a7cf72",
     "sov-V.model":
-        "fab8c13d620769eeaeebeb532b19c0a1c066ea4e89591b7ada678a9c1cb3d36e",
+        "f8565e1b0d305a7bd0cbcb08e00e6f3bf46ff56bbb6d9ef0fcff27aa3b15e3b9",
     "xx-N.model":
-        "d71a9f586b50b7d23bf60c54e95930f8f0f9d6fe04dab9b0fb22eb1d625a4279",
+        "a9a54fe2ca48a27d237b6e14e6a15825e1da309d0d066448c627f5c19b9a46b7",
     "xx-V.model":
-        "c7e440d57a009658c7948f69700f2121961c5ac272bba797dc5f94a7128ee3fb",
+        "9dda0b7bd86d2172b161aefdf38f09012da47cec6e13e591aa11368bc26a3a33",
 }
 
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "b3cc286b458e78f919c4b14e15f411ddbd57fc49469bb5a2db471b033e0699fa",
+        "1e0a2e5b82d02c9e344af9795df76ebb8725c62ebc2f15f958098d7ac332cff3",
     "xx~nadj@N~sov@V":
-        "e6c84c8a840788c8209349a24b5abefd09e6b85f10e947183a5a587f763c93d9",
+        "d98a2003c4772978d3267718f3500409bdffea5f6c4878a16a287024033a16a8",
     "nadj~sov@V":
-        "10df82d68961544f1d95966dee57520ee166e64a8550719f2f1cddd53e6e4843",
+        "3eb97dd72b3d097087c7c4f6b5ccaaaa29d0deb4df821f6b991e7d095b891f86",
 }
 
 

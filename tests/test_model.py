@@ -9,10 +9,11 @@ import pytest
 from deporder.features import extract, normalize_symbol
 from deporder.model import (GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
                             OrderingModel, _CompiledCorpus, enumerate_scores,
-                            freeness, interpolate, log_likelihood,
-                            log_partition, log_partition_and_expectation,
-                            mean_log_likelihood, model_from_text,
-                            model_to_text, score, train, uniform_model)
+                            freeness, interpolate, load_model,
+                            log_likelihood, log_partition,
+                            log_partition_and_expectation, mean_log_likelihood,
+                            model_from_text, model_to_text, score, train,
+                            uniform_model)
 from deporder.sjt import sjt_enumerate
 from deporder.treebank import (LocalConfig, filter_for_generation,
                                is_projective, local_configs)
@@ -304,6 +305,23 @@ class TestTrain:
         meta = train_fixture_model(language, pos_class).training_meta
         assert meta.converged
         assert meta.grad_inf_norm <= GRAD_TOLERANCE
+
+    def test_fixture_xx_training_is_cheap(self, xx_models):
+        # conjugate gradients took 278 evaluations here, L-BFGS 76
+        assert sum(m.training_meta.evaluations for m in xx_models) <= 100
+
+    @pytest.mark.parametrize("language", ["xx", "sov", "nadj"])
+    @pytest.mark.parametrize("pos_class", ["N", "V"])
+    def test_saved_model_is_stationary(self, fixture_model_dir, language, pos_class):
+        model = load_model(fixture_model_dir / f"{language}-{pos_class}.model")
+        trees = [t for t in load_split(language) if is_projective(t)]
+        configs = [c for t in trees for c in local_configs(t, pos_class)
+                   if c.n <= MAX_TRAIN_SIZE]
+        corpus = _CompiledCorpus(configs, model.h_whitelist)
+        theta = np.array([model.weights.get(name, 0.0) for name in corpus.name_index])
+        _, grad = corpus.objective_and_gradient(theta)
+        penalized = grad - PRIOR / corpus.total * theta
+        assert np.max(np.abs(penalized)) <= GRAD_TOLERANCE
 
     def test_matches_scipy_on_the_penalized_objective(self):
         minimize = pytest.importorskip("scipy.optimize").minimize
