@@ -22,7 +22,7 @@ from . import __version__
 from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
                         select_source, tag_sequences, train_trigram,
                         word_sequences)
-from .model import freeness, save_model, train
+from .model import freeness, save_model, train, usable_configs
 from .synthesis import (DEFAULT_LAMBDA, DEFAULT_SEED, LanguageSpec, SpecError,
                         load_language_models, synthesize_language)
 from .treebank import (ConlluError, filter_for_generation, is_projective,
@@ -58,6 +58,8 @@ def cmd_train(args) -> int:
     projective = [t for t in trees if is_projective(t)]
     configs = {pos_class: [c for t in projective for c in local_configs(t, pos_class)]
                for pos_class in ("N", "V")}
+    for pos_class in configs:  # before fitting either class
+        usable_configs(configs[pos_class], language, pos_class)
     models = [train(configs[pos_class], None, language=language,
                     pos_class=pos_class) for pos_class in configs]
     # write only once both classes have trained

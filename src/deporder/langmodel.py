@@ -1,16 +1,17 @@
 """Trigram language models with add-one smoothing, over tags or words.
 
-Sequences are padded with two start sentinels and one end sentinel.  The
-conditional probability of w3 after (w1, w2) is
+Training counts and evaluation scores the same trigram events: those of the
+sequence padded with two start sentinels and one end sentinel, each symbol
+mapped into the vocabulary.  The conditional probability of w3 after (w1, w2) is
 
     (count(w1 w2 w3) + 1) / (count(w1 w2) + V)
 
 where V is the prediction vocabulary size (the vocabulary minus the start
 sentinel, which is never predicted).  Unseen histories therefore fall back
-to the uniform 1/V.  In word mode, training tokens seen fewer than
-`oov_threshold` times collapse into an out-of-vocabulary symbol, and unseen
-evaluation tokens map to it as well.  Tag mode uses the closed universal
-tagset as its vocabulary and needs no OOV symbol.
+to the uniform 1/V.  The vocabulary is the universal tagset (tag mode) or
+the training tokens seen at least `oov_threshold` times plus an OOV symbol
+(word mode), and both sentinels.  Any other symbol, or one spelled like a
+sentinel, maps to `X` (tag mode) or OOV (word mode).
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ class TrigramLM:
         return len(self.vocabulary) - 1  # BOS is never predicted
 
     def map_symbol(self, symbol: str) -> str:
-        if symbol in self.vocabulary:
+        if symbol in self.vocabulary and symbol != BOS and symbol != EOS:
             return symbol
         return OOV if self.mode == "word" else "X"
+
+    def trigram_events(self, sequence: Sequence[str]) -> Iterable[tuple[str, str, str]]:
+        """The trigrams of the padded, mapped sequence, in order."""
+        padded = [BOS, BOS, *map(self.map_symbol, sequence), EOS]
+        return zip(padded, padded[1:], padded[2:])
 
     def log2_conditional(self, w1: str, w2: str, w3: str) -> float:
         numerator = self.trigrams.get((w1, w2, w3), 0) + 1
@@ -55,45 +61,35 @@ class TrigramLM:
     def sequence_log2prob(self, sequence: Sequence[str]) -> tuple[float, int]:
         """Total log2 probability and number of predicted positions
         (every symbol plus the end sentinel)."""
-        padded = [BOS, BOS] + [self.map_symbol(s) for s in sequence] + [EOS]
         total = 0.0
-        for k in range(2, len(padded)):
-            total += self.log2_conditional(padded[k - 2], padded[k - 1], padded[k])
+        for w1, w2, w3 in self.trigram_events(sequence):
+            total += self.log2_conditional(w1, w2, w3)
         return total, len(sequence) + 1
 
 
 def train_trigram(sequences: Sequence[Sequence[str]], mode: str = "tag",
                   oov_threshold: int = DEFAULT_OOV_THRESHOLD) -> TrigramLM:
-    """Count trigrams over the padded sequences.
+    """Count the trigram events of the sequences.
 
-    Word mode first replaces every token whose corpus count is below
-    `oov_threshold` with the OOV symbol.
+    Word mode's vocabulary holds the tokens seen at least `oov_threshold`
+    times in the corpus; rarer tokens map to the OOV symbol.
     """
     if mode not in ("tag", "word"):
         raise ValueError(f"unknown mode {mode!r}")
     if not sequences:
         raise ValueError("empty training corpus")
-    if mode == "word":
-        corpus_counts = Counter(tok for seq in sequences for tok in seq)
+    counts = Counter(tok for seq in sequences for tok in seq) if mode == "word" else {}
+    vocabulary = _vocabulary(mode, (tok for tok, c in counts.items() if c >= oov_threshold))
+    events = TrigramLM(mode, vocabulary, {}, {}, oov_threshold).trigram_events
+    trigrams = Counter(event for seq in sequences for event in events(seq))
+    return TrigramLM(mode, vocabulary, dict(trigrams), _histories(trigrams), oov_threshold)
 
-        def mapped(tok: str) -> str:
-            return tok if corpus_counts[tok] >= oov_threshold else OOV
 
-        vocabulary = {mapped(tok) for tok in corpus_counts}
-        vocabulary |= {BOS, EOS, OOV}
-    else:
-        def mapped(tok: str) -> str:
-            return tok if tok in UPOS_TAGS else "X"
-
-        vocabulary = set(UPOS_TAGS) | {BOS, EOS}
-
-    trigrams: Counter = Counter()
-    for seq in sequences:
-        padded = [BOS, BOS] + [mapped(tok) for tok in seq] + [EOS]
-        for k in range(2, len(padded)):
-            trigrams[(padded[k - 2], padded[k - 1], padded[k])] += 1
-    return TrigramLM(mode, frozenset(vocabulary), dict(trigrams),
-                     _histories(trigrams), oov_threshold)
+def _vocabulary(mode: str, words: Iterable[str]) -> frozenset[str]:
+    """Tag mode: the universal tagset; word mode: `words` and OOV.  Both add BOS and EOS."""
+    if mode == "tag":
+        return UPOS_TAGS | {BOS, EOS}
+    return frozenset(words) | {BOS, EOS, OOV}
 
 
 def _histories(trigrams: dict[tuple[str, str, str], int]) -> dict[tuple[str, str], int]:
@@ -197,10 +193,7 @@ def lm_from_text(text: str) -> TrigramLM:
             symbols.update(parts)
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")
-    if mode == "tag":
-        vocabulary = frozenset(UPOS_TAGS | {BOS, EOS})
-    else:
-        vocabulary = frozenset(symbols | {BOS, EOS, OOV})
+    vocabulary = _vocabulary(mode, symbols)
     if declared_vocab >= 0 and declared_vocab != len(vocabulary):
         raise ValueError(f"vocabulary size mismatch: header says {declared_vocab}, "
                          f"reconstructed {len(vocabulary)}")

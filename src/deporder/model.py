@@ -294,6 +294,18 @@ class _CompiledCorpus:
         return total, grad
 
 
+def usable_configs(configs: Sequence[LocalConfig], language: str,
+                   pos_class: str) -> list[LocalConfig]:
+    """The configurations of at most `MAX_TRAIN_SIZE` elements, which `train`
+    fits; ValueError, naming the language and POS class, if there are none."""
+    usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
+    if not usable:
+        raise ValueError(
+            f"{language} {pos_class}: no usable training configurations "
+            f"(heads with more than {MAX_TRAIN_SIZE} elements dropped: {len(configs)})")
+    return usable
+
+
 def train(configs: Sequence[LocalConfig],
           whitelist: AbstractSet[str] | None = None,
           language: str = "",
@@ -310,15 +322,11 @@ def train(configs: Sequence[LocalConfig],
     inverse curvature s.y / y.y, Armijo backtracking from step 1, or from
     1/|grad|_inf while no pair is kept) runs until the gradient infinity norm
     falls to `GRAD_TOLERANCE` or `MAX_ITERATIONS` is hit (recorded in
-    `training_meta`).  Raises ValueError, naming the language and POS class,
-    when no configuration is left to train.
+    `training_meta`).  Raises the ValueError of `usable_configs` when no
+    configuration is left to train.
     """
-    usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
+    usable = usable_configs(configs, language, pos_class)
     dropped = len(configs) - len(usable)
-    if not usable:
-        raise ValueError(
-            f"{language} {pos_class}: no usable training configurations "
-            f"(heads with more than {MAX_TRAIN_SIZE} elements dropped: {dropped})")
     if whitelist is None:
         whitelist = features.build_h_whitelist(usable)
 

@@ -11,6 +11,7 @@ plus a `manifest.tsv` of key/value lines.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import re
 from dataclasses import dataclass, replace
@@ -226,7 +227,10 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     drops non-projective and high-fanout trees, permutes the rest with the
     interpolated models, and only then writes byte-deterministic output
     under `out_root/<spec dirname>`, so a spec that fails on a missing or
-    malformed input writes nothing.
+    malformed input writes nothing.  Writing deletes any old `manifest.tsv`,
+    then puts each split and last the manifest in place whole, through a
+    temporary file and `os.replace`: a directory without a manifest is
+    incomplete.
     """
     from . import __version__
     superstrates = (spec.superstrate_n, spec.superstrate_v)
@@ -287,8 +291,11 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
 
     out_dir = Path(out_root) / spec.dirname
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.tsv").unlink(missing_ok=True)
     for name, text in outputs.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        temp = out_dir / f"{name}.tmp"
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, out_dir / name)
     return out_dir
 
 

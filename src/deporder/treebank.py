@@ -106,7 +106,8 @@ class LocalConfig:
     """A head node plus its direct dependents, in surface order.
 
     Exactly one element carries the relation "head" (the head itself);
-    dependents keep their relation as written, subtypes included.
+    dependents keep their relation as written, subtypes included, save that
+    a dependent labelled "head" carries "dep".
     """
 
     head_tag: str
@@ -191,7 +192,7 @@ def _parse_block(lines: list[str], first_line: int, ordinal: int, strict: bool) 
     ranges: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=first_line):
         if line.startswith("#"):
-            if tokens and strict:
+            if tokens:
                 raise ConlluError("comment after token lines", lineno)
             comments.append(line)
             continue
@@ -355,7 +356,8 @@ def local_configs(tree: DepTree, pos_class: str) -> list[LocalConfig]:
     """One LocalConfig per node of the class: "N" (NOUN/PROPN/PRON) or "V" (VERB).
 
     Elements appear in the surface order of the sentence; the head element
-    carries the synthetic relation "head", dependents their deprel verbatim.
+    carries the synthetic relation "head", dependents their deprel verbatim
+    save "head" itself, which gets "dep", the features' unknown-relation bucket.
     """
     try:
         tags = POS_CLASSES[pos_class]
@@ -368,7 +370,8 @@ def local_configs(tree: DepTree, pos_class: str) -> list[LocalConfig]:
             continue
         units = sorted(deps.get(tok.index, []) + [tok], key=lambda t: t.index)
         elements = tuple(
-            (u.upos, HEAD_RELATION if u.index == tok.index else u.deprel)
+            (u.upos, HEAD_RELATION if u.index == tok.index
+             else "dep" if u.deprel == HEAD_RELATION else u.deprel)
             for u in units
         )
         configs.append(LocalConfig(tok.upos, tok.deprel, elements,

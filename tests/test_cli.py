@@ -109,6 +109,21 @@ class TestTrainCommand:
                              "--out", str(tmp_path / "models"))
         assert (code, err, out) == (EXIT_BAD_DATA, message + "\n", "")
 
+    def test_untrainable_class_fits_nothing(self, tmp_path, capsys, monkeypatch):
+        # V has nothing to train, so N must not be fitted first
+        fitted, real_train = [], cli.train
+
+        def recording_train(*args, **kwargs):
+            fitted.append(kwargs["pos_class"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        (tmp_path / "lg").mkdir()
+        (tmp_path / "lg" / "lg-ud-train.conllu").write_text(self.WIDE_VERB)
+        code, _, _ = run(capsys, "train", "--treebank", str(tmp_path / "lg"),
+                         "--out", str(tmp_path / "models"))
+        assert (code, fitted) == (EXIT_BAD_DATA, [])
+
 
 class TestParseModes:
     """`train` parses strictly unless --lenient; `permute` leniently unless --strict."""
@@ -145,6 +160,39 @@ class TestParseModes:
         assert code == EXIT_BAD_DATA
         assert f"line {lineno}: unknown POS tag 'BLORP'" in err
         assert not (tmp_path / "strict" / "xx~sov@V").exists()
+
+
+class TestHeadLabel:
+    """A dependent labelled `head`, the marker `local_configs` gives the head."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(UD_ROOT / "xx", root / "xx")
+        for path in (root / "xx").glob("*.conllu"):
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace("\tamod\t", "\thead\t"), encoding="utf-8")
+        lines = (root / "xx" / "xx-ud-train.conllu").read_text().split("\n")
+        return root, next(k for k, line in enumerate(lines, 1) if "\thead\t" in line)
+
+    def test_train(self, data, tmp_path, capsys):
+        root, lineno = data
+        argv = ["train", "--treebank", str(root / "xx"), "--out", str(tmp_path)]
+        assert run(capsys, *argv, "--lenient")[0] == EXIT_OK
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_BAD_DATA
+        assert f"line {lineno}: unknown relation 'head'" in err
+
+    def test_permute(self, data, trained_dir, tmp_path, capsys):
+        root, lineno = data
+        argv = ["permute", "--spec", "xx~xx@N", "--data", str(root),
+                "--models", str(trained_dir)]
+        assert run(capsys, *argv, "--out", str(tmp_path / "lenient"))[0] == EXIT_OK
+        out = (tmp_path / "lenient" / "xx~xx@N" / "xx~xx@N-ud-train.conllu").read_text()
+        assert "\thead\t" in out and "\tdep\t" not in out
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "strict"), "--strict")
+        assert code == EXIT_BAD_DATA
+        assert f"line {lineno}: unknown relation 'head'" in err
 
 
 class TestPermuteCommand:

@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of trained model files and synthesized treebanks.
+"""Golden SHA-256 digests of trained model files, trigram language model
+files and synthesized treebanks.
 
 Any change to these output bytes must be deliberate: a move needs a golden
 digest, a version bump and a CHANGES.md entry that says why the bytes moved.
@@ -16,9 +17,11 @@ from pathlib import Path
 import pytest
 
 from deporder import __version__
+from deporder.langmodel import (lm_to_text, tag_sequences, train_trigram,
+                                word_sequences)
 from deporder.synthesis import LanguageSpec, synthesize_language
 
-from conftest import UD_ROOT, save_fixture_models
+from conftest import UD_ROOT, load_split, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
@@ -35,14 +38,20 @@ MODEL_DIGESTS = {
         "9dda0b7bd86d2172b161aefdf38f09012da47cec6e13e591aa11368bc26a3a33",
 }
 
+# Trigram LMs of each mode, trained on the fixture `xx` train split.
+LM_DIGESTS = {
+    "tag": "a23a6372c74fa8f04079a6d17b878ae8ca1f78c7f410e12a3597467d118b60cc",
+    "word": "494839d50538769f29b8fade21b893c6ad8d0f21cbb8724979eb54b82e335acc",
+}
+
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "1e0a2e5b82d02c9e344af9795df76ebb8725c62ebc2f15f958098d7ac332cff3",
+        "e3e65fb1a9a88c778c0b4bf0b39613e54564f7216b807bc0f620f044026c7cda",
     "xx~nadj@N~sov@V":
-        "d98a2003c4772978d3267718f3500409bdffea5f6c4878a16a287024033a16a8",
+        "52409e7fd919b3aeaf12d0624f8da4d3660f7c582996e18311c3461f6e219ee0",
     "nadj~sov@V":
-        "3eb97dd72b3d097087c7c4f6b5ccaaaa29d0deb4df821f6b991e7d095b891f86",
+        "1933bde2a5e7a7fc2399b597ce7d06088f7416da9e1bf0dafb4751894aaf1a1a",
 }
 
 
@@ -61,10 +70,22 @@ def synthesized_digest(spec_name: str, model_dir: Path, out_root: Path) -> str:
     return directory_digest(out)
 
 
+def lm_digest(mode: str) -> str:
+    trees = load_split("xx")
+    sequences = tag_sequences(trees) if mode == "tag" else word_sequences(trees)
+    text = lm_to_text(train_trigram(sequences, mode))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
 def test_model_file_digest(fixture_model_dir, name):
     digest = hashlib.sha256((fixture_model_dir / name).read_bytes()).hexdigest()
     assert digest == MODEL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("mode", sorted(LM_DIGESTS))
+def test_language_model_digest(mode):
+    assert lm_digest(mode) == LM_DIGESTS[mode]
 
 
 @pytest.mark.parametrize("spec_name", sorted(TREEBANK_DIGESTS))
@@ -85,5 +106,7 @@ if __name__ == "__main__":
     save_fixture_models(model_dir)
     for name in sorted(MODEL_DIGESTS):
         print(f'"{name}": "{hashlib.sha256((model_dir / name).read_bytes()).hexdigest()}",')
+    for mode in sorted(LM_DIGESTS):
+        print(f'"{mode}": "{lm_digest(mode)}",')
     for spec_name in TREEBANK_DIGESTS:
         print(f'"{spec_name}": "{synthesized_digest(spec_name, model_dir, out_root)}",')

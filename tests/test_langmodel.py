@@ -72,6 +72,14 @@ class TestTrain:
         assert "common" in lm.vocabulary
         assert lm.map_symbol("rare") == OOV
 
+    @pytest.mark.parametrize("mode, other", [("tag", "X"), ("word", OOV)])
+    def test_sentinel_spelled_token_is_no_boundary(self, mode, other):
+        lm = train_trigram([[BOS, EOS] * 6], mode=mode, oov_threshold=1)
+        assert lm.map_symbol(BOS) == lm.map_symbol(EOS) == other
+        assert set(lm.trigrams) == {(BOS, BOS, other), (BOS, other, other),
+                                    (other, other, other), (other, other, EOS)}
+        assert lm.sequence_log2prob([BOS, EOS]) == lm.sequence_log2prob([other] * 2)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train_trigram([], mode="tag")

@@ -1,7 +1,9 @@
 import math
+import os
 import re
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,25 @@ class TestSynthesizeLanguage:
         with pytest.raises(FileNotFoundError):
             synthesize_language(spec, tmp_path / "empty", fixture_model_dir,
                                 tmp_path)
+
+    def test_interrupted_rewrite_leaves_no_manifest(self, fixture_model_dir,
+                                                    tmp_path, monkeypatch):
+        spec = LanguageSpec.parse("xx~sov@V")
+        out = synthesize_language(spec, UD_ROOT / "xx", fixture_model_dir, tmp_path)
+        assert (out / "manifest.tsv").exists()
+        placed, real_replace = [], os.replace
+
+        def fail_after_first(src, dst):
+            if placed:
+                raise OSError("disk full")
+            placed.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(synthesis.os, "replace", fail_after_first)
+        with pytest.raises(OSError, match="disk full"):
+            synthesize_language(spec, UD_ROOT / "xx", fixture_model_dir, tmp_path)
+        assert placed == ["xx~sov@V-ud-train.conllu"]
+        assert not (out / "manifest.tsv").exists()
 
     def test_load_language_models_checks_class(self, tmp_path):
         save_model(OrderingModel("zz", "V", {}, frozenset()),

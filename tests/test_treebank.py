@@ -116,12 +116,14 @@ class TestParse:
         text = f"{one}\n1\tX\tx\tNOUN\t_\t_\t0\troot\t_\n{one}\n{one}\n"
         assert [t.source_id for t in parse_conllu(text, "lenient")] == ["s1", "s2"]
 
-    def test_lenient_keeps_late_comment(self):
+    def test_lenient_skips_late_comment(self, caplog):
+        # kept, the comment would be written back above the first token
         text = ("# sent_id = c\n1\tX\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
                 "# late\n2\tY\ty\tADJ\t_\t_\t1\tamod\t_\t_\n\n")
-        tree, = parse_conllu(text, "lenient")
-        assert tree.comments == ("# sent_id = c", "# late")
-        assert [t.form for t in tree.tokens] == ["X", "Y"]
+        with caplog.at_level("WARNING", logger="deporder.treebank"):
+            assert parse_conllu(text, "lenient") == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping malformed sentence: line 3: comment after token lines"]
         with pytest.raises(ConlluError, match="line 3: comment after token lines"):
             parse_conllu(text, "strict")
 
@@ -271,6 +273,13 @@ class TestLocalConfigs:
         configs = {c.source[1]: c for c in local_configs(fig1_tree, "N")}
         move = configs[2]
         assert ("VERB", "acl:rel") in move.elements
+
+    def test_dependent_labelled_head_is_dep(self):
+        tree = make_tree([(1, "big", "ADJ", 2, "head"),
+                          (2, "dog", "NOUN", 0, "root")])
+        config, = local_configs(tree, "N")
+        assert config.elements == (("ADJ", "dep"), ("NOUN", "head"))
+        assert config.head_position == 2
 
     def test_childless_head(self):
         tree = make_tree([(1, "it", "PRON", 2, "nsubj"),
