@@ -5,7 +5,7 @@ treebanks, use them to synthesize treebanks with resampled word order, and
 measure corpora with trigram language models.
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 from .treebank import (ConlluError, DepTree, FilterReport, LocalConfig, Token,
                        filter_for_generation, is_projective, local_configs,

@@ -10,8 +10,8 @@ table cached per n, which breaks every ordering into slot-pair states
 distinct state's feature names are built once per configuration, and an
 ordering's score is the sum of its states' weights.  `score` extracts one
 ordering's features directly and is the reference the table is tested
-against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over one
-table per distinct training configuration.
+against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over
+the distinct training configurations, their tables stacked by size.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ PRIOR = 1.0  # precision of the Gaussian prior on each weight
 GRAD_TOLERANCE = 1e-6  # training stops once the gradient's inf-norm is this small
 MAX_ITERATIONS = 1000
 HISTORY = 10  # curvature pairs kept by L-BFGS
+GATHER_ROWS = 512  # orderings whose state weights are gathered at once
 
 
 @dataclass
@@ -100,7 +101,7 @@ def _sjt_table(n: int):
     is_window) there.  With the head at element h, ordering k is row
     `row_of[h - 1][k]`, the ordering with elements 1 and h exchanged.
     """
-    orders = tuple(perm for perm, _ in sjt_enumerate(n))
+    orders = tuple(sjt_enumerate(n))
     rows = [(0, *perm, n + 1) for perm in orders]
     slots = np.array(rows)
     head_slot = np.argsort(slots, axis=1)[:, 1]
@@ -179,25 +180,13 @@ def _ordering_table(config: LocalConfig, whitelist: AbstractSet[str] | None
     return orders, names, np.array(owner, dtype=np.intp), codes[row_of[head - 1]]
 
 
-def _state_scores(codes: np.ndarray, owner: np.ndarray, weights) -> np.ndarray:
-    """Each ordering's score: the summed `weights` of the names its states fire."""
-    state_weight = np.bincount(owner, weights=weights,
-                               minlength=int(codes.max()) + 1)
-    scores = np.empty(len(codes))
-    for start in range(0, len(codes), 1024):  # bounds the gathered block
-        scores[start:start + 1024] = state_weight[codes[start:start + 1024]].sum(axis=1)
-    return scores
-
-
-def _state_mass(codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Each state's probability mass: the sum of `probs` over the rows firing it."""
-    return np.bincount(codes.ravel(), weights=np.repeat(probs, codes.shape[1]))
-
-
 def _scored_table(model: OrderingModel, config: LocalConfig):
     orders, names, owner, codes = _ordering_table(config, model.h_whitelist)
-    w = model.weights
-    scores = _state_scores(codes, owner, [w.get(name, 0.0) for name in names])
+    state_weight = np.bincount(owner, [model.weights.get(name, 0.0) for name in names],
+                               int(codes.max()) + 1)
+    scores = np.empty(len(codes))  # each ordering's summed state weights
+    for k in range(0, len(codes), GATHER_ROWS):
+        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
     return orders, names, owner, codes, scores
 
 
@@ -230,7 +219,7 @@ def log_partition_and_expectation(model: OrderingModel, config: LocalConfig
     """
     _, names, owner, codes, scores = _scored_table(model, config)
     logz = _logsumexp(scores)
-    mass = _state_mass(codes, np.exp(scores - logz))
+    mass = np.bincount(codes.ravel(), np.repeat(np.exp(scores - logz), codes.shape[1]))
     expected: dict[str, float] = {}
     for name, m in zip(names, mass[owner].tolist()):
         expected[name] = expected.get(name, 0.0) + m
@@ -250,47 +239,63 @@ def mean_log_likelihood(model: OrderingModel, configs: Sequence[LocalConfig]) ->
 
 
 class _CompiledCorpus:
-    """Deduplicated training configurations, each kept as its ordering table.
+    """Deduplicated training configurations, stacked by size into blocks.
 
-    A group holds one distinct configuration's `codes` and `owner` from
-    `_ordering_table` and its names as global feature ids `ids`;
-    `multiplicities` counts each group's configurations.
+    `groups` lists the distinct configurations' normalized keys, first seen
+    first, and `multiplicities` their counts.  Configurations of size n share
+    `_sjt_table(n)`'s rows, columns and `span` states, so a block (codes,
+    span, owner, ids, weight) stacks the codes of the next up to
+    `GATHER_ROWS // n!` (one at least), in size order, into a (groups, n!,
+    columns) array.  Its state `i * span + s`, state s of group i, fires the
+    feature ids `ids[owner == i * span + s]`; `weight[i]` is its count / `total`.
     """
 
     def __init__(self, configs: Iterable[LocalConfig],
                  whitelist: AbstractSet[str] | None):
-        self.name_index: dict[str, int] = {}
-        self.groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        counts: dict[tuple, int] = {}
+        distinct: dict[tuple, list] = {}  # key -> [first configuration, count]
         for config in configs:
             key = tuple(features.normalize_symbol(t, r) for t, r in config.elements)
-            if key not in counts:
-                _, names, owner, codes = _ordering_table(config, whitelist)
-                ids = np.array([self.name_index.setdefault(name, len(self.name_index))
-                                for name in names], dtype=np.intp)
-                self.groups.append((codes, owner, ids))
-            counts[key] = counts.get(key, 0) + 1
-        self.multiplicities = list(counts.values())
+            distinct.setdefault(key, [config, 0])[1] += 1
+        self.groups = list(distinct)
+        self.multiplicities = [count for _, count in distinct.values()]
         self.total = sum(self.multiplicities)
+        self.name_index: dict[str, int] = {}
+        self.blocks = []
+        members = sorted(distinct.values(), key=lambda member: member[0].n)
+        while members:
+            n = members[0][0].n
+            part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
+                    if m[0].n == n]
+            del members[:len(part)]
+            span = len(_sjt_table(n)[2])
+            tables = [_ordering_table(config, whitelist) for config, _ in part]
+            ids = [np.array([self.name_index.setdefault(name, len(self.name_index))
+                             for name in names], dtype=np.intp) for _, names, _, _ in tables]
+            owners = [owner + i * span for i, (_, _, owner, _) in enumerate(tables)]
+            self.blocks.append((np.stack([codes for *_, codes in tables]), span,
+                                np.concatenate(owners), np.concatenate(ids),
+                                np.array([count for _, count in part]) / self.total))
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean log-likelihood per configuration and its gradient.
 
         The per-configuration mean has the same maximizer as the plain sum
         but keeps the line search well conditioned on large corpora.  The
-        gradient is each state's observed-minus-expected mass, added to
-        every feature id the state fires.
+        gradient is each state's observed-minus-expected mass times its
+        group's `weight`, added to every feature id the state fires.
         """
-        total = 0.0
-        grad = np.zeros(len(self.name_index))
-        for (codes, owner, ids), count in zip(self.groups, self.multiplicities):
-            mult = count / self.total
-            scores = _state_scores(codes, owner, theta[ids])
-            logz = _logsumexp(scores)
-            total += mult * (scores[0] - logz)
-            mass = -_state_mass(codes, np.exp(scores - logz))
-            mass[codes[0]] += 1.0  # the observed ordering's states
-            grad += np.bincount(ids, weights=mult * mass[owner], minlength=len(grad))
+        total, grad = 0.0, np.zeros(len(self.name_index))
+        for codes, span, owner, ids, weight in self.blocks:
+            state_weight = np.bincount(owner, theta[ids], len(codes) * span)
+            states = codes + (np.arange(len(codes)) * span)[:, None, None]
+            scores = state_weight[states].sum(axis=2)
+            top = scores.max(axis=1, keepdims=True)
+            logz = top + np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
+            total += float(weight @ (scores[:, 0] - logz[:, 0]))
+            probs = np.exp(scores - logz) * -weight[:, None]
+            probs[:, 0] += weight  # the observed ordering's states
+            mass = np.bincount(states.ravel(), np.repeat(probs.ravel(), codes.shape[2]))
+            grad += np.bincount(ids, mass[owner], len(grad))
         return total, grad
 
 

@@ -14,18 +14,13 @@ from typing import Iterator
 MAX_N = 7
 
 
-def sjt_enumerate(n: int) -> Iterator[tuple[tuple[int, ...], int | None]]:
-    """Yield all n! permutations of 1..n, starting from the identity.
-
-    Each item is (permutation, swapped) where swapped is the 0-based left
-    index of the adjacent pair exchanged to reach this permutation, or None
-    for the initial identity.
-    """
+def sjt_enumerate(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield all n! permutations of 1..n, starting from the identity."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"element count must be in 1..{MAX_N}, got {n}")
     perm = list(range(1, n + 1))
     direction = [-1] * n
-    yield tuple(perm), None
+    yield tuple(perm)
     while True:
         mobile = -1
         for i in range(n):
@@ -43,4 +38,4 @@ def sjt_enumerate(n: int) -> Iterator[tuple[tuple[int, ...], int | None]]:
         for k in range(n):
             if perm[k] > moved:
                 direction[k] = -direction[k]
-        yield tuple(perm), min(i, j)
+        yield tuple(perm)

@@ -61,17 +61,12 @@ def random_model(rnd, config, n_weights=12):
 def test_criterion_01_sjt_correctness():
     start = time.perf_counter()
     for n in range(1, 8):
-        previous = None
-        seen = set()
-        for perm, swapped in sjt_enumerate(n):
-            seen.add(perm)
-            if previous is not None:
-                rebuilt = list(previous)
-                rebuilt[swapped], rebuilt[swapped + 1] = \
-                    rebuilt[swapped + 1], rebuilt[swapped]
-                assert tuple(rebuilt) == perm
-            previous = perm
-        assert len(seen) == math.factorial(n)
+        perms = list(sjt_enumerate(n))
+        for previous, perm in zip(perms, perms[1:]):
+            # the single adjacent transposition between consecutive orders
+            i, j = [k for k in range(n) if previous[k] != perm[k]]
+            assert j == i + 1 and (perm[i], perm[j]) == (previous[j], previous[i])
+        assert len(set(perms)) == math.factorial(n)
     assert len(list(sjt_enumerate(7))) == 5040
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"enumeration took {elapsed:.2f}s"

@@ -25,17 +25,17 @@ from conftest import UD_ROOT, load_split, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "e3b72a797dc9e48cf6d517dbddab2a855c296ed7caf752c605231cd18b2f2307",
+        "44df0f71187b6f5abe315d50ee903c984ff949eddbfd3ae4963723e540f14cec",
     "nadj-V.model":
-        "ac42e6166a48b3bd6763c7007eba7b3b4b1c76ee891502a3e61b823550ba11b5",
+        "3a7559eadf5f8dcc40f535219af30213f67abf535c9059acd305849acafaa36b",
     "sov-N.model":
-        "7d2b8f791667db4d1deb33a700a713e0f169492ec9d99d6281ef4137c4a7cf72",
+        "30cf5420151e2239eaaf9c7493832fd95f6cbe5d6ce51d043d92f1cf36f85f42",
     "sov-V.model":
-        "f8565e1b0d305a7bd0cbcb08e00e6f3bf46ff56bbb6d9ef0fcff27aa3b15e3b9",
+        "fafa25007e66d9d473b94639241863301009146de2e2bd704fdb8c15fc296d4f",
     "xx-N.model":
-        "a9a54fe2ca48a27d237b6e14e6a15825e1da309d0d066448c627f5c19b9a46b7",
+        "a3fb4e19cd2046e5a3e15ddb18ab39d87881d5c9db6c4b90112c2b5b63119354",
     "xx-V.model":
-        "9dda0b7bd86d2172b161aefdf38f09012da47cec6e13e591aa11368bc26a3a33",
+        "5402d3d7853be909ea32cd7914f5b1f764b7e2837980855c606bcd097569e002",
 }
 
 # Trigram LMs of each mode, trained on the fixture `xx` train split.
@@ -47,11 +47,11 @@ LM_DIGESTS = {
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "e3e65fb1a9a88c778c0b4bf0b39613e54564f7216b807bc0f620f044026c7cda",
+        "03f3493860dacb39c8cc7f9ffdb35b864438c882517471b4c88e76af9c8e8aed",
     "xx~nadj@N~sov@V":
-        "52409e7fd919b3aeaf12d0624f8da4d3660f7c582996e18311c3461f6e219ee0",
+        "110fb226468cc55d4fcc6e7dc27584d755f5c3a79548f761c8fbc792774d85de",
     "nadj~sov@V":
-        "1933bde2a5e7a7fc2399b597ce7d06088f7416da9e1bf0dafb4751894aaf1a1a",
+        "d6e381fc91ae481848a74c19a5f5fd848abcf8276afe4011bc902dee7755e404",
 }
 
 

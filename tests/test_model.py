@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deporder.features import extract, normalize_symbol
-from deporder.model import (GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
+from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
                             OrderingModel, _CompiledCorpus, enumerate_scores,
                             freeness, interpolate, load_model,
                             log_likelihood, log_partition,
@@ -133,21 +133,66 @@ def distinct_configs(configs):
     return list(first.values()), [counts[key] for key in first]
 
 
+def stacked_groups(corpus):
+    """Each group's (codes, owner, ids) read out of its block, in block
+    order, with its block weight."""
+    for codes, span, owner, ids, weight in corpus.blocks:
+        for i, table in enumerate(codes):
+            mine = (owner >= i * span) & (owner < (i + 1) * span)
+            yield table, owner[mine] - i * span, ids[mine], weight[i]
+
+
+def reference_objective(configs, whitelist, theta):
+    """Mean log-likelihood and its gradient by feature name, configuration
+    by configuration, from `log_partition_and_expectation`."""
+    model = OrderingModel("t", "N", theta, frozenset(
+        n for n in theta if n.startswith("H.")))
+    value, grad = 0.0, Counter()
+    for config in configs:
+        value += log_likelihood(model, config) / len(configs)
+        _, expected = log_partition_and_expectation(model, config)
+        observed = extract(config, tuple(range(1, config.n + 1)), whitelist)
+        for name in expected.keys() | observed.keys():
+            grad[name] += (observed.get(name, 0)
+                           - expected.get(name, 0.0)) / len(configs)
+    return value, grad
+
+
+def assert_matches_reference(configs, whitelist, rnd):
+    corpus = _CompiledCorpus(configs, whitelist)
+    theta = {name: rnd.gauss(0.0, 1.0) for name in corpus.name_index}
+    value, grad = corpus.objective_and_gradient(np.array(list(theta.values())))
+    ref_value, ref_grad = reference_objective(configs, whitelist, theta)
+    assert abs(value - ref_value) < 1e-12
+    assert ref_grad.keys() <= corpus.name_index.keys()
+    for name, i in corpus.name_index.items():
+        assert abs(grad[i] - ref_grad.get(name, 0.0)) < 1e-12
+    return corpus
+
+
 class TestCompiledRows:
     def test_rows_equal_extract(self):
         configs, whitelists = compile_cases(random.Random(67))
         distinct, counts = distinct_configs(configs)
+        # blocks hold the configurations by size, then in order of first occurrence
+        in_blocks = sorted(zip(distinct, counts), key=lambda item: item[0].n)
         for whitelist in whitelists:
             corpus = _CompiledCorpus(configs, whitelist)
             names = list(corpus.name_index)
             assert list(corpus.name_index.values()) == list(range(len(names)))
             assert len(corpus.groups) == len(distinct)
             assert corpus.multiplicities == counts
-            for (codes, owner, ids), config in zip(corpus.groups, distinct):
+            for codes, *_ in corpus.blocks:
+                assert len(codes) == 1 or len(codes) * codes.shape[1] <= GATHER_ROWS
+            groups = list(stacked_groups(corpus))
+            assert len(groups) == len(in_blocks)
+            for (codes, owner, ids, weight), (config, count) in zip(groups, in_blocks):
+                assert len(codes) == math.factorial(config.n)
+                assert weight == count / corpus.total
                 fires = [[] for _ in range(int(codes.max()) + 1)]
                 for state, i in zip(owner.tolist(), ids.tolist()):
                     fires[state].append(names[i])
-                for k, (perm, _) in enumerate(sjt_enumerate(config.n)):
+                for k, perm in enumerate(sjt_enumerate(config.n)):
                     fired = Counter(name for state in codes[k]
                                     for name in fires[state])
                     assert fired == extract(config, perm, whitelist)
@@ -158,25 +203,51 @@ class TestObjective:
         rnd = random.Random(71)
         configs, whitelists = compile_cases(rnd)
         for whitelist in whitelists:
-            corpus = _CompiledCorpus(configs, whitelist)
-            theta = np.array([rnd.gauss(0.0, 1.0) for _ in corpus.name_index])
-            value, grad = corpus.objective_and_gradient(theta)
-            model = OrderingModel(
-                "t", "N", dict(zip(corpus.name_index, theta.tolist())),
-                frozenset(n for n in corpus.name_index if n.startswith("H.")))
-            ref_value, ref_grad = 0.0, Counter()
-            for config in configs:
-                ref_value += log_likelihood(model, config) / len(configs)
-                _, expected = log_partition_and_expectation(model, config)
-                observed = extract(config, tuple(range(1, config.n + 1)),
-                                   whitelist)
-                for name in expected.keys() | observed.keys():
-                    ref_grad[name] += (observed.get(name, 0)
-                                       - expected.get(name, 0.0)) / len(configs)
-            assert abs(value - ref_value) < 1e-12
-            assert ref_grad.keys() <= corpus.name_index.keys()
-            for name, i in corpus.name_index.items():
-                assert abs(grad[i] - ref_grad.get(name, 0.0)) < 1e-12
+            assert_matches_reference(configs, whitelist, rnd)
+
+    def test_blocks_of_every_size_match_the_reference(self):
+        # enough distinct configurations of sizes 5 and 6 to fill more
+        # than one block each
+        rnd = random.Random(73)
+        configs = [random_config(rnd, n) for n in range(1, 5) for _ in range(3)]
+        for n in (5, 6):
+            configs += [random_config(rnd, n)
+                        for _ in range(GATHER_ROWS // math.factorial(n) + 2)]
+        configs += configs[::4]
+        corpus = assert_matches_reference(configs, None, rnd)
+        assert len(corpus.groups) == len(distinct_configs(configs)[0])
+        for n in (5, 6):
+            assert sum(codes.shape[1] == math.factorial(n)
+                       for codes, *_ in corpus.blocks) > 1
+
+    def test_single_element_corpus_is_flat(self):
+        configs = [LocalConfig("NOUN", "dobj", (("NOUN", "head"),)),
+                   LocalConfig("VERB", "root", (("VERB", "head"),)),
+                   LocalConfig("NOUN", "nsubj", (("PROPN", "head"),))] * 2
+        corpus = _CompiledCorpus(configs, None)
+        value, grad = corpus.objective_and_gradient(
+            np.linspace(-1.0, 1.0, len(corpus.name_index)))
+        assert value == 0.0
+        assert not grad.any()
+        meta = train(configs, None).training_meta
+        assert meta.converged and meta.iterations == 0
+
+    def test_invariant_under_configuration_order(self):
+        rnd = random.Random(79)
+        configs, whitelists = compile_cases(rnd)
+        shuffled = rnd.sample(configs, len(configs))
+        for whitelist in whitelists:
+            first = _CompiledCorpus(configs, whitelist)
+            second = _CompiledCorpus(shuffled, whitelist)
+            assert first.name_index.keys() == second.name_index.keys()
+            theta = {name: rnd.gauss(0.0, 1.0) for name in first.name_index}
+            value, grad = first.objective_and_gradient(
+                np.array([theta[name] for name in first.name_index]))
+            value2, grad2 = second.objective_and_gradient(
+                np.array([theta[name] for name in second.name_index]))
+            assert abs(value - value2) < 1e-12
+            for name, i in first.name_index.items():
+                assert abs(grad[i] - grad2[second.name_index[name]]) < 1e-12
 
 
 class TestPartition:

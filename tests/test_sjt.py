@@ -6,33 +6,25 @@ from deporder.sjt import MAX_N, sjt_enumerate
 
 
 def test_single_element():
-    assert list(sjt_enumerate(1)) == [((1,), None)]
+    assert list(sjt_enumerate(1)) == [(1,)]
 
 
 def test_three_elements_order():
-    perms = [p for p, _ in sjt_enumerate(3)]
-    assert perms == [(1, 2, 3), (1, 3, 2), (3, 1, 2),
-                     (3, 2, 1), (2, 3, 1), (2, 1, 3)]
+    assert list(sjt_enumerate(3)) == [(1, 2, 3), (1, 3, 2), (3, 1, 2),
+                                      (3, 2, 1), (2, 3, 1), (2, 1, 3)]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_complete_distinct_adjacent(n):
-    previous = None
-    seen = set()
-    for perm, swapped in sjt_enumerate(n):
+    perms = list(sjt_enumerate(n))
+    assert perms[0] == tuple(range(1, n + 1))
+    for perm in perms:
         assert sorted(perm) == list(range(1, n + 1))
-        seen.add(perm)
-        if previous is None:
-            assert swapped is None
-            assert perm == tuple(range(1, n + 1))
-        else:
-            assert swapped is not None and 0 <= swapped < n - 1
-            rebuilt = list(previous)
-            rebuilt[swapped], rebuilt[swapped + 1] = \
-                rebuilt[swapped + 1], rebuilt[swapped]
-            assert tuple(rebuilt) == perm
-        previous = perm
-    assert len(seen) == math.factorial(n)
+    for previous, perm in zip(perms, perms[1:]):
+        # the single adjacent transposition between consecutive orders
+        i, j = [k for k in range(n) if previous[k] != perm[k]]
+        assert j == i + 1 and (perm[i], perm[j]) == (previous[j], previous[i])
+    assert len(set(perms)) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [0, 8, -3])
