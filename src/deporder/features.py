@@ -89,14 +89,18 @@ def identity_order(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=1 << 18)
-def _group_names(ti, ri, tj, rj, head_direction, sibling, dclass, adjacent):
+def symbol_pair_groups(a, b, dclass: int, adjacent: bool):
+    """Feature-name groups fired by symbol `a` in a slot before symbol `b`'s,
+    the slots both left of the head, straddling it or both right of it for
+    `dclass` 0, 1 or 2.  Only the sentinels have tags BOS and EOS."""
+    (ti, ri), (tj, rj) = a, b
     groups = []
-    if head_direction:
+    if rj == HEAD_RELATION and ti != BOS:
         groups.append((f"L.{ti}.{ri}", f"L.{ti}", f"L.{ri}"))
-    if sibling:
+    if ti != BOS and tj != EOS and HEAD_RELATION not in (ri, rj):  # siblings
+        d = "lmr"[dclass]
         groups.append((f"L.{ti}.{ri}.{tj}.{rj}", f"L.{ti}.{tj}", f"L.{ri}.{rj}"))
-        groups.append((f"{dclass}.{ti}.{ri}.{tj}.{rj}",
-                       f"{dclass}.{ti}.{tj}", f"{dclass}.{ri}.{rj}"))
+        groups.append((f"{d}.{ti}.{ri}.{tj}.{rj}", f"{d}.{ti}.{tj}", f"{d}.{ri}.{rj}"))
     if adjacent:
         groups.append((f"A.{ti}.{ri}.{tj}.{rj}", f"A.{ti}.{tj}", f"A.{ri}.{rj}"))
     return tuple(groups)
@@ -106,18 +110,10 @@ def pair_groups(slots, head_slot: int, i: int, j: int):
     """Feature-name groups fired by the ordered slot pair (i, j), i < j.
 
     Each group is a (full, tag-backoff, relation-backoff) triple, except the
-    head-direction group whose backoffs drop one field each.  Name strings
-    are memoized: equal symbol/geometry keys return the identical tuple.
+    head-direction group whose backoffs drop one field each.
     """
-    n = len(slots) - 2
-    ti, ri = slots[i]
-    tj, rj = slots[j]
-    sibling = 1 <= i and j <= n and ri != HEAD_RELATION and rj != HEAD_RELATION
-    dclass = ("l" if j < head_slot else ("r" if i > head_slot else "m")) \
-        if sibling else ""
-    return _group_names(ti, ri, tj, rj,
-                        rj == HEAD_RELATION and i >= 1,
-                        sibling, dclass, j == i + 1)
+    return symbol_pair_groups(slots[i], slots[j],
+                              1 - (j < head_slot) + (i > head_slot), j == i + 1)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -2,16 +2,16 @@
 
 A model scores an ordering of a head and its dependents as the dot product
 of a sparse weight vector with the feature counts of that ordering.  The
-normalizer is exact: one table per configuration covers all n! orderings
-in Steinhaus-Johnson-Trotter order and serves scoring, sampling, freeness,
-the expected feature vector and training.  It is read off a permutation
-table cached per n, which breaks every ordering into slot-pair states
-(ordered element pair, l/m/r class, adjacency) and 3-5-slot windows; each
-distinct state's feature names are built once per configuration, and an
-ordering's score is the sum of its states' weights.  `score` extracts one
-ordering's features directly and is the reference the table is tested
-against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over
-the distinct training configurations, their tables stacked by size.
+normalizer is exact: a permutation table cached per n lists all n!
+orderings in Steinhaus-Johnson-Trotter order as slot-pair states (ordered
+element pair, l/m/r class, adjacency) and 3-5-slot windows, and an
+ordering's score is the sum of its states' weights.  Scoring, sampling and
+freeness read each state's weight off its elements' symbol codes and build
+no feature name; only training names each state's features, once per
+distinct configuration.  `score` extracts one ordering's features directly
+and is the reference the table is tested against.  `train` fits MAP
+weights under a Gaussian prior by L-BFGS over the distinct training
+configurations, their tables stacked by size.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from typing import AbstractSet, Iterable, Sequence
 import numpy as np
 
 from . import features
-from .features import ExtendedSequence, identity_order, pair_groups, span_name
+from .features import ExtendedSequence, identity_order, span_name
 from .sjt import sjt_enumerate
-from .treebank import HEAD_RELATION, LocalConfig, local_configs
+from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
+                       local_configs)
 
 MODEL_FORMAT_VERSION = 1
 LN2 = math.log(2.0)
@@ -64,7 +65,8 @@ class OrderingModel:
     """Weights for one (language, POS class) pair plus its H-feature whitelist.
 
     Features absent from `weights` have weight 0.  H features outside
-    `h_whitelist` never fire for this model.
+    `h_whitelist` never fire.  Neither may change once `enumerate_scores`
+    has kept the model's weights by symbol code in `_lookup`.
     """
 
     language: str
@@ -72,6 +74,7 @@ class OrderingModel:
     weights: dict[str, float]
     h_whitelist: frozenset[str] = frozenset()
     training_meta: TrainingMeta | None = None
+    _lookup: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def uniform_model(language: str = "", pos_class: str = "N") -> OrderingModel:
@@ -86,19 +89,31 @@ def score(model: OrderingModel, config: LocalConfig, order: tuple[int, ...]) -> 
     return sum(w.get(name, 0.0) * c for name, c in counts.items())
 
 
+# Every symbol a slot can hold, in a fixed order.  A symbol's digit is its
+# index + 1 and 0 pads, so windows of 3 to 5 slots in base _BASE never share
+# a code; codes stay below _BASE**5 < 2**53, so float64 products are exact.
+SYMBOLS = tuple((t, r) for t in sorted(UPOS_TAGS)
+                for r in sorted(UNIVERSAL_RELATIONS | {HEAD_RELATION})) \
+    + ((features.BOS, features.BOS), (features.EOS, features.EOS))
+_DIGIT = {symbol: k for k, symbol in enumerate(SYMBOLS, start=1)}
+_BASE = len(SYMBOLS) + 1
+_WINDOW_RADIX = float(_BASE) ** np.arange(features.H_MAX_SPAN + 1)
+_PAIR_RADIX = np.array([6.0 * _BASE, 6.0])  # pair key: (a, b, class * 2 + adjacent)
+
+
 @lru_cache(maxsize=None)  # one entry per n; sjt_enumerate rejects n > MAX_N
 def _sjt_table(n: int):
     """The orderings of n elements as rows of numbered states.
 
-    Returns (orders, codes, states, row_of).  `orders` are the n!
+    Returns (orders, codes, pairs, windows, row_of).  `orders` are the n!
     permutations of 1..n in SJT order, identity first.  Row k of `codes`
     is ordering k with the head at element 1, BOS (element 0) in slot 0 and
     EOS (element n+1) in slot n+1; its columns follow `features.extract`'s
     loop: slot pair (i, j), then the window over slots i..j if it spans 3
-    to 5 slots.  A pair's state is its ordered element pair, l/m/r class
-    and adjacency, a window's its elements.  States are numbered by first
-    occurrence; `states[s]` is (elements by slot, head slot, i, j,
-    is_window) there.  With the head at element h, ordering k is row
+    to 5 slots.  States are numbered by first occurrence.  A pair state is
+    a column (state, element a, element b, l/m/r class * 2 + adjacent) of
+    `pairs`, a window state one (state, its elements, padded to 5 with n+2)
+    of `windows`.  With the head at element h, ordering k is row
     `row_of[h - 1][k]`, the ordering with elements 1 and h exchanged.
     """
     orders = tuple(sjt_enumerate(n))
@@ -128,12 +143,13 @@ def _sjt_table(n: int):
     np.minimum.at(first, codes.ravel(), np.arange(codes.size, dtype=np.int32))
     present = np.flatnonzero(first < codes.size)
     present = present[np.argsort(first[present])]
-    number = np.zeros(first.size, dtype=np.min_scalar_type(len(present)))
+    number = np.zeros(first.size, dtype=np.intp)  # gathers fastest by intp
     number[present] = np.arange(len(present))
-    states = []
-    for flat in first[present].tolist():
-        k, c = divmod(flat, len(columns))
-        states.append((rows[k], int(head_slot[k]), *columns[c]))
+    pair = present < 6 * base * base
+    p, w = present[pair], present[~pair] - 6 * base * base
+    pairs = np.stack([np.flatnonzero(pair), p // 6 // base, p // 6 % base, p % 6])
+    elements = w // base ** np.arange(features.H_MAX_SPAN + 1)[:, None] % base - 1
+    windows = np.vstack([np.flatnonzero(~pair), np.where(elements < 0, n + 2, elements)])
     digits = (n + 2) ** np.arange(n + 2)
     key = slots @ digits
     by_key = np.argsort(key)
@@ -143,10 +159,33 @@ def _sjt_table(n: int):
         swap[[1, h]] = h, 1
         found = np.searchsorted(key, swap[slots] @ digits, sorter=by_key)
         row_of.append(by_key[found].astype(np.int16))
-    return orders, number[codes], states, row_of
+    return orders, number[codes], pairs, windows, row_of
 
 
-def _ordering_table(config: LocalConfig, whitelist: AbstractSet[str] | None
+def _window_index(whitelist: AbstractSet[str], weights: dict[str, float]):
+    """Sorted codes of the whitelisted windows that can fire ("H." and 3 to 5
+    symbols of `SYMBOLS`), then a code no window has; and their weights."""
+    coded = {np.iinfo(np.int64).max: 0.0}
+    for name in whitelist:
+        fields = name.split(".")
+        digits = [_DIGIT.get(pair) for pair in zip(fields[1::2], fields[2::2])]
+        if fields[0] == "H" and None not in digits and len(fields) in (7, 9, 11):
+            code = sum(d * _BASE ** k for k, d in enumerate(digits))
+            coded[code] = weights.get(name, 0.0)
+    return tuple(map(np.array, zip(*sorted(coded.items()))))
+
+
+def _table_symbols(config: LocalConfig, windows: np.ndarray):
+    """Symbols by table element (the head is element 1), their digits, the
+    code of each window state of `windows`, and the head's place in `config`."""
+    seq = ExtendedSequence.from_config(config, identity_order(config.n))
+    symbols, head = list(seq.slots), seq.head_slot
+    symbols[1], symbols[head] = symbols[head], symbols[1]
+    digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
+    return symbols, digits, (_WINDOW_RADIX @ digits[windows[1:]]).astype(np.int64), head
+
+
+def _ordering_table(config: LocalConfig, whitelist: np.ndarray | None
                     ) -> tuple[tuple, list[str], np.ndarray, np.ndarray]:
     """Every ordering of `config` as a row of table states and their names.
 
@@ -154,40 +193,23 @@ def _ordering_table(config: LocalConfig, whitelist: AbstractSet[str] | None
     column c of ordering k fires, and it fires `names[m]` for every m with
     `owner[m]` equal to it, in firing order.  Row k thus lists
     `features.extract(config, orders[k], whitelist)` name by name in its
-    firing order.  Names come from `pair_groups` and `span_name`, once per
-    state of the shared `_sjt_table`.
+    firing order.  `whitelist` holds the codes of the windows that fire
+    (`_window_index`), None all.  Only training builds names.
     """
-    seq = ExtendedSequence.from_config(config, identity_order(config.n))
-    orders, codes, states, row_of = _sjt_table(config.n)
-    head = seq.head_slot
-    symbols = list(seq.slots)  # by table element: the head is element 1
-    symbols[1], symbols[head] = symbols[head], symbols[1]
-    names: list[str] = []
-    owner: list[int] = []
-    last_row = slots = None
-    for state, (row, head_slot, i, j, window) in enumerate(states):
-        if row is not last_row:  # states come grouped by ordering
-            last_row, slots = row, tuple([symbols[e] for e in row])
-        if window:
-            name = span_name(slots, i, j)
-            if whitelist is None or name in whitelist:
-                names.append(name)
-                owner.append(state)
-        else:
-            for group in pair_groups(slots, head_slot, i, j):
-                names.extend(group)
-                owner.extend((state,) * len(group))
-    return orders, names, np.array(owner, dtype=np.intp), codes[row_of[head - 1]]
-
-
-def _scored_table(model: OrderingModel, config: LocalConfig):
-    orders, names, owner, codes = _ordering_table(config, model.h_whitelist)
-    state_weight = np.bincount(owner, [model.weights.get(name, 0.0) for name in names],
-                               int(codes.max()) + 1)
-    scores = np.empty(len(codes))  # each ordering's summed state weights
-    for k in range(0, len(codes), GATHER_ROWS):
-        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return orders, names, owner, codes, scores
+    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
+    symbols, _, window_codes, head = _table_symbols(config, windows)
+    fired: list = [()] * (pairs.shape[1] + windows.shape[1])
+    for state, a, b, tail in pairs.T.tolist():
+        fired[state] = [name for group in features.symbol_pair_groups(
+            symbols[a], symbols[b], *divmod(tail, 2)) for name in group]
+    if whitelist is not None:
+        windows = windows[:, np.isin(window_codes, whitelist)]
+    for state, *elements in windows.T.tolist():
+        window = [symbols[e] for e in elements if e < len(symbols)]
+        fired[state] = [span_name(window, 0, len(window) - 1)]
+    names = [name for state_names in fired for name in state_names]
+    owner = np.repeat(np.arange(len(fired)), [len(f) for f in fired])
+    return orders, names, owner, codes[row_of[head - 1]].astype(np.min_scalar_type(len(fired)))
 
 
 def enumerate_scores(model: OrderingModel, config: LocalConfig
@@ -196,8 +218,27 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
 
     The first ordering is the identity (the configuration's observed order).
     """
-    orders, _, _, _, scores = _scored_table(model, config)
-    return list(orders), scores
+    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
+    _, digits, window_codes, head = _table_symbols(config, windows)
+    if model._lookup is None:  # built once per model, then kept on it
+        model._lookup = ({}, *_window_index(model.h_whitelist, model.weights))
+    pair_weight, index, window_weight = model._lookup
+    keys = ((_PAIR_RADIX @ digits[pairs[1:3]]).astype(np.intp) + pairs[3]).tolist()
+    for key in set(keys).difference(pair_weight):  # names summed in firing order
+        (a, b), tail = divmod(key // 6, _BASE), key % 6
+        pair_weight[key] = 0.0
+        for group in features.symbol_pair_groups(SYMBOLS[a - 1], SYMBOLS[b - 1],
+                                                 *divmod(tail, 2)):
+            for name in group:
+                pair_weight[key] += model.weights.get(name, 0.0)
+    state_weight = np.empty(pairs.shape[1] + windows.shape[1])
+    state_weight[pairs[0]] = [pair_weight[key] for key in keys]
+    found = index.searchsorted(window_codes)
+    state_weight[windows[0]] = np.where(index[found] == window_codes, window_weight[found], 0.0)
+    scores = np.empty(len(codes))  # each table row's summed state weights
+    for k in range(0, len(codes), GATHER_ROWS):
+        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
+    return list(orders), scores[row_of[head - 1]]
 
 
 def _logsumexp(scores: np.ndarray) -> float:
@@ -217,7 +258,8 @@ def log_partition_and_expectation(model: OrderingModel, config: LocalConfig
     Each state's probability mass over all orderings is added to every
     name the state fires.
     """
-    _, names, owner, codes, scores = _scored_table(model, config)
+    _, names, owner, codes = _ordering_table(config, _window_index(model.h_whitelist, {})[0])
+    _, scores = enumerate_scores(model, config)
     logz = _logsumexp(scores)
     mass = np.bincount(codes.ravel(), np.repeat(np.exp(scores - logz), codes.shape[1]))
     expected: dict[str, float] = {}
@@ -261,14 +303,15 @@ class _CompiledCorpus:
         self.total = sum(self.multiplicities)
         self.name_index: dict[str, int] = {}
         self.blocks = []
+        index = None if whitelist is None else _window_index(whitelist, {})[0]
         members = sorted(distinct.values(), key=lambda member: member[0].n)
         while members:
             n = members[0][0].n
             part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
                     if m[0].n == n]
             del members[:len(part)]
-            span = len(_sjt_table(n)[2])
-            tables = [_ordering_table(config, whitelist) for config, _ in part]
+            tables = [_ordering_table(config, index) for config, _ in part]
+            span = int(tables[0][3].max()) + 1  # every state occurs
             ids = [np.array([self.name_index.setdefault(name, len(self.name_index))
                              for name in names], dtype=np.intp) for _, names, _, _ in tables]
             owners = [owner + i * span for i, (_, _, owner, _) in enumerate(tables)]

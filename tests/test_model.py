@@ -6,15 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from deporder import features
 from deporder.features import extract, normalize_symbol
 from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
-                            OrderingModel, _CompiledCorpus, enumerate_scores,
+                            OrderingModel, _CompiledCorpus, _ordering_table,
+                            enumerate_scores,
                             freeness, interpolate, load_model,
                             log_likelihood, log_partition,
                             log_partition_and_expectation, mean_log_likelihood,
                             model_from_text, model_to_text, score, train,
                             uniform_model)
 from deporder.sjt import sjt_enumerate
+from deporder.synthesis import RngStream, sample_ordering
 from deporder.treebank import (LocalConfig, filter_for_generation,
                                is_projective, local_configs)
 
@@ -103,6 +106,105 @@ class TestIncrementalScoring:
         check = rnd.sample(range(len(orders)), 200)
         for k in check:
             assert abs(score(model, config, orders[k]) - scores[k]) < 1e-9
+
+
+# Whitelisted names that no window can fire: not H (one with the fields of
+# a lone head's window), too few or too many fields, an odd field count (one
+# a lone head's window plus a field), six symbols, an unknown tag or
+# relation, a sentinel out of place.
+NEVER_FIRING = frozenset({
+    "", "H", "H.a", "L.DET.det", "L.BOS.BOS.NOUN.head.EOS.EOS",
+    "H.DET.det.NOUN.head", "H.DET.det.NOUN.head.EOS", "H.BOS.BOS.NOUN.head.EOS.EOS.x",
+    "H.BOS.BOS.DET.det.ADJ.amod.NOUN.head.ADP.case.EOS.EOS",
+    "H.FOO.det.NOUN.head.EOS.EOS", "H.DET.nmod:poss.NOUN.head.EOS.EOS",
+    "H.BOS.BOS.BOS.BOS.NOUN.head", "H.NOUN.head.EOS.EOS.EOS.EOS",
+})
+
+
+def name_table_scores(model, config):
+    """Every ordering's score from the names `_ordering_table` builds: H
+    names only if whitelisted, weights added per state by `np.bincount`,
+    then each ordering's states gathered and summed."""
+    orders, names, owner, codes = _ordering_table(config, None)
+    keep = np.array([not name.startswith("H.") or name in model.h_whitelist
+                     for name in names])
+    state_weight = np.bincount(
+        owner[keep], [model.weights.get(name, 0.0)
+                      for name, kept in zip(names, keep) if kept],
+        int(codes.max()) + 1)
+    scores = np.empty(len(codes))
+    for k in range(0, len(codes), GATHER_ROWS):
+        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
+    return list(orders), scores
+
+
+def whitelist_models(rnd, config):
+    """Models with random weights on a third of the names `config` fires
+    and on names that never fire, under the H whitelists: every H name it
+    fires, none, and a random half of them plus `NEVER_FIRING`.  H weights
+    outside the whitelist must stay silent."""
+    _, names, _, _ = _ordering_table(config, None)
+    fired = sorted(set(names))
+    h_names = [name for name in fired if name.startswith("H.")]
+    weights = {name: rnd.gauss(0.0, 1.0) for name in rnd.sample(fired, len(fired) // 3)}
+    weights |= {name: rnd.gauss(0.0, 1.0) for name in NEVER_FIRING}
+    for whitelist in (h_names, (), rnd.sample(h_names, len(h_names) // 2) + [*NEVER_FIRING]):
+        yield OrderingModel("rand", "N", weights, frozenset(whitelist))
+
+
+def coded_cases(rnd):
+    """Configurations of every size 1..7, unknown labels and repeated symbols."""
+    return [random_config(rnd, n) for n in range(1, 8)] + [
+        LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
+        LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
+                                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+    ]
+
+
+class TestSymbolCodedScores:
+    def test_bit_identical_to_the_name_table(self):
+        rnd = random.Random(83)
+        for config in coded_cases(rnd):
+            for model in whitelist_models(rnd, config):
+                orders, scores = enumerate_scores(model, config)
+                ref_orders, ref_scores = name_table_scores(model, config)
+                assert orders == ref_orders
+                assert scores.tobytes() == ref_scores.tobytes()
+                for order, s in zip(orders, scores.tolist()):
+                    assert abs(score(model, config, order) - s) < 1e-12
+
+    def test_one_model_over_many_configurations(self, xx_models, sov_n_model):
+        # the model's pair-weight memo is shared by every configuration it
+        # scores, so a key that mixed two symbol pairs up would show here
+        rnd = random.Random(89)
+        blended = interpolate(sov_n_model, xx_models[0])
+        trees = load_split("xx", "dev") + load_split("xx", "test")
+        configs = [c for t in filter_for_generation(trees)[0]
+                   for pos_class in ("N", "V") for c in local_configs(t, pos_class)]
+        configs += [random_config(rnd, n) for n in (5, 6, 7) for _ in range(2)]
+        for model in (blended, xx_models[1]):
+            for config in configs:
+                scores = enumerate_scores(model, config)[1]
+                assert scores.tobytes() == name_table_scores(model, config)[1].tobytes()
+
+    def test_scoring_builds_no_window_name(self, monkeypatch, xx_train_trees,
+                                           xx_models, sov_n_model):
+        def refuse(*args):
+            raise AssertionError("a window name was built")
+
+        kept, _ = filter_for_generation(xx_train_trees)
+        configs = [c for t in kept for c in local_configs(t, "N")]
+        # fresh models, so their symbol-coded weights are built under the patch
+        model_n = interpolate(sov_n_model, xx_models[0])
+        model_v = interpolate(xx_models[1], xx_models[1], 0.0)
+        monkeypatch.setattr(features, "span_name", refuse)
+        monkeypatch.setattr(features, "_span_name", refuse)
+        with pytest.raises(AssertionError):  # training still names windows
+            _ordering_table(configs[0], None)
+        for config in configs:
+            enumerate_scores(model_n, config)
+            sample_ordering(model_n, config, RngStream("guard", config.n))
+        assert math.isfinite(freeness(model_n, model_v, kept))
 
 
 def compile_cases(rnd):
