@@ -169,11 +169,12 @@ def cmd_perplexity(args) -> int:
     else:
         train_seqs = _sequences_from_file(Path(args.train), args.mode, parse_mode)
         lm = train_trigram(train_seqs, args.mode, args.oov_threshold)
+    value = perplexity(lm, eval_seqs)  # first, so a failing run writes nothing
     if args.save_lm:
         save_lm(lm, args.save_lm)
     positions = sum(len(s) + 1 for s in eval_seqs)
     print("eval\tmode\tpositions\tperplexity")
-    print(f"{args.eval}\t{args.mode}\t{positions}\t{perplexity(lm, eval_seqs)!r}")
+    print(f"{args.eval}\t{args.mode}\t{positions}\t{value!r}")
     return EXIT_OK
 
 

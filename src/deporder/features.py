@@ -126,23 +126,6 @@ def span_name(slots, i: int, j: int) -> str:
     return _span_name(tuple(slots[i:j + 1]))
 
 
-def pair_features(seq: ExtendedSequence, i: int, j: int) -> list[str]:
-    """All non-H feature names fired by the pair (i, j), 0 <= i < j <= n+1."""
-    if not 0 <= i < j <= seq.n + 1:
-        raise ValueError(f"bad slot pair ({i}, {j}) for n={seq.n}")
-    return [name for group in pair_groups(seq.slots, seq.head_slot, i, j)
-            for name in group]
-
-
-def hgram_features(seq: ExtendedSequence, i: int, j: int) -> list[str]:
-    """The H feature over slots i..j, or [] when the span is not 3-5 slots."""
-    if not 0 <= i < j <= seq.n + 1:
-        raise ValueError(f"bad slot span ({i}, {j}) for n={seq.n}")
-    if not H_MIN_SPAN <= j - i <= H_MAX_SPAN:
-        return []
-    return [span_name(seq.slots, i, j)]
-
-
 def extract(config: LocalConfig, order: tuple[int, ...],
             whitelist: AbstractSet[str] | None = None) -> Counter:
     """Feature counts for one ordering of a configuration.

@@ -120,10 +120,12 @@ def select_source(candidates: Sequence[tuple[str, TrigramLM]],
 
     Returns the winning language id and the full table of
     (language, total log2 probability, rank), best first.  Ties are broken
-    by lexicographic language id.
+    by lexicographic language id.  An empty target is a ValueError.
     """
     if not candidates:
         raise ValueError("no candidate language models")
+    if not target_sequences:
+        raise ValueError("nothing to evaluate")
     scored = []
     for language, lm in candidates:
         total = sum(lm.sequence_log2prob(seq)[0] for seq in target_sequences)

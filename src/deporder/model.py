@@ -5,13 +5,14 @@ of a sparse weight vector with the feature counts of that ordering.  The
 normalizer is exact: a permutation table cached per n lists all n!
 orderings in Steinhaus-Johnson-Trotter order as slot-pair states (ordered
 element pair, l/m/r class, adjacency) and 3-5-slot windows, and an
-ordering's score is the sum of its states' weights.  Scoring, sampling and
-freeness read each state's weight off its elements' symbol codes and build
-no feature name; only training names each state's features, once per
-distinct configuration.  `score` extracts one ordering's features directly
-and is the reference the table is tested against.  `train` fits MAP
-weights under a Gaussian prior by L-BFGS over the distinct training
-configurations, their tables stacked by size.
+ordering's score is the sum of its states' weights.  `_states` codes each
+state of a configuration by its elements' symbols.  Scoring, sampling and
+freeness read each state's weight off those codes; training reads the same
+codes, and turns a pair key's names and a whitelisted window's name into
+feature ids, once per distinct configuration.  `score` extracts one
+ordering's features directly and is the reference the table is tested
+against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over the
+distinct training configurations, their tables stacked by size.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import AbstractSet, Iterable, Sequence
 import numpy as np
 
 from . import features
-from .features import ExtendedSequence, identity_order, span_name
+from .features import ExtendedSequence, identity_order
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
                        local_configs)
@@ -162,54 +163,45 @@ def _sjt_table(n: int):
     return orders, number[codes], pairs, windows, row_of
 
 
-def _window_index(whitelist: AbstractSet[str], weights: dict[str, float]):
-    """Sorted codes of the whitelisted windows that can fire ("H." and 3 to 5
-    symbols of `SYMBOLS`), then a code no window has; and their weights."""
-    coded = {np.iinfo(np.int64).max: 0.0}
+def _states(config: LocalConfig):
+    """`config`'s orderings as rows of `_sjt_table` states, with the states'
+    symbol codes.
+
+    Returns (orders, codes, rows, pair_states, pair_keys, window_states,
+    window_codes).  Ordering k of `orders` is row `rows[k]` of `codes`.  Pair
+    state `pair_states[m]` has key `pair_keys[m]`: the digits of its two
+    symbols and its l/m/r class * 2 + adjacent, in base (`_BASE`, `_BASE`, 6).
+    Window state `window_states[m]` has code `window_codes[m]`: its symbols'
+    digits, the first lowest, in base `_BASE`.
+    """
+    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
+    seq = ExtendedSequence.from_config(config, identity_order(config.n))
+    symbols, head = list(seq.slots), seq.head_slot
+    symbols[1], symbols[head] = symbols[head], symbols[1]  # the table's head is element 1
+    digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
+    return (orders, codes, row_of[head - 1],
+            pairs[0], (_PAIR_RADIX @ digits[pairs[1:3]]).astype(np.intp) + pairs[3],
+            windows[0], (_WINDOW_RADIX @ digits[windows[1:]]).astype(np.int64))
+
+
+def _pair_names(key: int) -> list[str]:
+    """The feature names a pair state of key `key` (see `_states`) fires, in
+    firing order."""
+    (a, b), tail = divmod(key // 6, _BASE), key % 6
+    return [name for group in features.symbol_pair_groups(
+        SYMBOLS[a - 1], SYMBOLS[b - 1], *divmod(tail, 2)) for name in group]
+
+
+def _window_names(whitelist: AbstractSet[str]) -> dict[int, str]:
+    """The whitelisted windows that can fire ("H." and 3 to 5 symbols of
+    `SYMBOLS`) by window code (see `_states`)."""
+    names = {}
     for name in whitelist:
         fields = name.split(".")
         digits = [_DIGIT.get(pair) for pair in zip(fields[1::2], fields[2::2])]
         if fields[0] == "H" and None not in digits and len(fields) in (7, 9, 11):
-            code = sum(d * _BASE ** k for k, d in enumerate(digits))
-            coded[code] = weights.get(name, 0.0)
-    return tuple(map(np.array, zip(*sorted(coded.items()))))
-
-
-def _table_symbols(config: LocalConfig, windows: np.ndarray):
-    """Symbols by table element (the head is element 1), their digits, the
-    code of each window state of `windows`, and the head's place in `config`."""
-    seq = ExtendedSequence.from_config(config, identity_order(config.n))
-    symbols, head = list(seq.slots), seq.head_slot
-    symbols[1], symbols[head] = symbols[head], symbols[1]
-    digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
-    return symbols, digits, (_WINDOW_RADIX @ digits[windows[1:]]).astype(np.int64), head
-
-
-def _ordering_table(config: LocalConfig, whitelist: np.ndarray | None
-                    ) -> tuple[tuple, list[str], np.ndarray, np.ndarray]:
-    """Every ordering of `config` as a row of table states and their names.
-
-    Returns (orders, names, owner, codes): state `codes[k, c]` is what
-    column c of ordering k fires, and it fires `names[m]` for every m with
-    `owner[m]` equal to it, in firing order.  Row k thus lists
-    `features.extract(config, orders[k], whitelist)` name by name in its
-    firing order.  `whitelist` holds the codes of the windows that fire
-    (`_window_index`), None all.  Only training builds names.
-    """
-    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
-    symbols, _, window_codes, head = _table_symbols(config, windows)
-    fired: list = [()] * (pairs.shape[1] + windows.shape[1])
-    for state, a, b, tail in pairs.T.tolist():
-        fired[state] = [name for group in features.symbol_pair_groups(
-            symbols[a], symbols[b], *divmod(tail, 2)) for name in group]
-    if whitelist is not None:
-        windows = windows[:, np.isin(window_codes, whitelist)]
-    for state, *elements in windows.T.tolist():
-        window = [symbols[e] for e in elements if e < len(symbols)]
-        fired[state] = [span_name(window, 0, len(window) - 1)]
-    names = [name for state_names in fired for name in state_names]
-    owner = np.repeat(np.arange(len(fired)), [len(f) for f in fired])
-    return orders, names, owner, codes[row_of[head - 1]].astype(np.min_scalar_type(len(fired)))
+            names[sum(d * _BASE ** k for k, d in enumerate(digits))] = name
+    return names
 
 
 def enumerate_scores(model: OrderingModel, config: LocalConfig
@@ -218,27 +210,26 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
 
     The first ordering is the identity (the configuration's observed order).
     """
-    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
-    _, digits, window_codes, head = _table_symbols(config, windows)
+    orders, codes, rows, pair_states, pair_keys, window_states, window_codes = _states(config)
     if model._lookup is None:  # built once per model, then kept on it
-        model._lookup = ({}, *_window_index(model.h_whitelist, model.weights))
+        coded = {code: model.weights.get(name, 0.0)
+                 for code, name in _window_names(model.h_whitelist).items()}
+        coded[np.iinfo(np.int64).max] = 0.0  # past every window code
+        model._lookup = ({}, *map(np.array, zip(*sorted(coded.items()))))
     pair_weight, index, window_weight = model._lookup
-    keys = ((_PAIR_RADIX @ digits[pairs[1:3]]).astype(np.intp) + pairs[3]).tolist()
+    keys = pair_keys.tolist()
     for key in set(keys).difference(pair_weight):  # names summed in firing order
-        (a, b), tail = divmod(key // 6, _BASE), key % 6
         pair_weight[key] = 0.0
-        for group in features.symbol_pair_groups(SYMBOLS[a - 1], SYMBOLS[b - 1],
-                                                 *divmod(tail, 2)):
-            for name in group:
-                pair_weight[key] += model.weights.get(name, 0.0)
-    state_weight = np.empty(pairs.shape[1] + windows.shape[1])
-    state_weight[pairs[0]] = [pair_weight[key] for key in keys]
+        for name in _pair_names(key):
+            pair_weight[key] += model.weights.get(name, 0.0)
+    state_weight = np.empty(len(pair_states) + len(window_states))
+    state_weight[pair_states] = [pair_weight[key] for key in keys]
     found = index.searchsorted(window_codes)
-    state_weight[windows[0]] = np.where(index[found] == window_codes, window_weight[found], 0.0)
+    state_weight[window_states] = np.where(index[found] == window_codes, window_weight[found], 0.0)
     scores = np.empty(len(codes))  # each table row's summed state weights
     for k in range(0, len(codes), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return list(orders), scores[row_of[head - 1]]
+    return list(orders), scores[rows]
 
 
 def _logsumexp(scores: np.ndarray) -> float:
@@ -249,23 +240,6 @@ def _logsumexp(scores: np.ndarray) -> float:
 def log_partition(model: OrderingModel, config: LocalConfig) -> float:
     _, scores = enumerate_scores(model, config)
     return _logsumexp(scores)
-
-
-def log_partition_and_expectation(model: OrderingModel, config: LocalConfig
-                                  ) -> tuple[float, dict[str, float]]:
-    """Exact log normalizer and expected feature vector for one configuration.
-
-    Each state's probability mass over all orderings is added to every
-    name the state fires.
-    """
-    _, names, owner, codes = _ordering_table(config, _window_index(model.h_whitelist, {})[0])
-    _, scores = enumerate_scores(model, config)
-    logz = _logsumexp(scores)
-    mass = np.bincount(codes.ravel(), np.repeat(np.exp(scores - logz), codes.shape[1]))
-    expected: dict[str, float] = {}
-    for name, m in zip(names, mass[owner].tolist()):
-        expected[name] = expected.get(name, 0.0) + m
-    return logz, expected
 
 
 def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
@@ -289,11 +263,12 @@ class _CompiledCorpus:
     span, owner, ids, weight) stacks the codes of the next up to
     `GATHER_ROWS // n!` (one at least), in size order, into a (groups, n!,
     columns) array.  Its state `i * span + s`, state s of group i, fires the
-    feature ids `ids[owner == i * span + s]`; `weight[i]` is its count / `total`.
+    feature ids `ids[owner == i * span + s]`: the names of its pair key, or
+    its window's name if `whitelist` holds it.  Ids are numbered in state
+    order, first seen first.  `weight[i]` is group i's count / `total`.
     """
 
-    def __init__(self, configs: Iterable[LocalConfig],
-                 whitelist: AbstractSet[str] | None):
+    def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
         distinct: dict[tuple, list] = {}  # key -> [first configuration, count]
         for config in configs:
             key = tuple(features.normalize_symbol(t, r) for t, r in config.elements)
@@ -303,20 +278,30 @@ class _CompiledCorpus:
         self.total = sum(self.multiplicities)
         self.name_index: dict[str, int] = {}
         self.blocks = []
-        index = None if whitelist is None else _window_index(whitelist, {})[0]
+        window_names = _window_names(whitelist)
         members = sorted(distinct.values(), key=lambda member: member[0].n)
         while members:
             n = members[0][0].n
             part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
                     if m[0].n == n]
             del members[:len(part)]
-            tables = [_ordering_table(config, index) for config, _ in part]
-            span = int(tables[0][3].max()) + 1  # every state occurs
-            ids = [np.array([self.name_index.setdefault(name, len(self.name_index))
-                             for name in names], dtype=np.intp) for _, names, _, _ in tables]
-            owners = [owner + i * span for i, (_, _, owner, _) in enumerate(tables)]
-            self.blocks.append((np.stack([codes for *_, codes in tables]), span,
-                                np.concatenate(owners), np.concatenate(ids),
+            codes, owners, ids = [], [], []
+            for i, (config, _) in enumerate(part):
+                _, table, rows, pair_states, pair_keys, window_states, window_codes = \
+                    _states(config)
+                fired: list = [()] * (len(pair_states) + len(window_states))
+                for state, key in zip(pair_states.tolist(), pair_keys.tolist()):
+                    fired[state] = _pair_names(key)
+                for state, code in zip(window_states.tolist(), window_codes.tolist()):
+                    if code in window_names:
+                        fired[state] = (window_names[code],)
+                span = len(fired)
+                codes.append(table[rows].astype(np.min_scalar_type(span)))
+                owners.append(np.repeat(np.arange(span) + i * span, [len(f) for f in fired]))
+                ids.append(np.array([self.name_index.setdefault(name, len(self.name_index))
+                                     for names in fired for name in names], dtype=np.intp))
+            self.blocks.append((np.stack(codes), span, np.concatenate(owners),
+                                np.concatenate(ids),
                                 np.array([count for _, count in part]) / self.total))
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -20,9 +20,8 @@ import scipy.stats
 
 from deporder.features import extract
 from deporder.langmodel import BOS, perplexity, select_source, tag_sequences, train_trigram
-from deporder.model import (OrderingModel, enumerate_scores, freeness,
-                            log_likelihood, log_partition,
-                            log_partition_and_expectation,
+from deporder.model import (OrderingModel, _CompiledCorpus, enumerate_scores,
+                            freeness, log_likelihood, log_partition,
                             mean_log_likelihood, score, train, uniform_model)
 from deporder.sjt import sjt_enumerate
 from deporder.synthesis import (LanguageSpec, RngStream, sample_ordering,
@@ -105,11 +104,14 @@ def test_criterion_04_gradient_check():
     for _ in range(50):
         config = random_config(rnd, rnd.randint(2, 4))
         model = random_model(rnd, config, n_weights=6)
-        _, expected = log_partition_and_expectation(model, config)
-        observed = extract(config, tuple(range(1, config.n + 1)),
-                           model.h_whitelist)
+        # training's gradient on a one-configuration corpus: observed minus
+        # expected feature counts
+        corpus = _CompiledCorpus([config], model.h_whitelist)
+        _, grad = corpus.objective_and_gradient(
+            np.array([model.weights.get(name, 0.0) for name in corpus.name_index]))
+        gradient = dict(zip(corpus.name_index, grad.tolist()))
         for name in sorted(model.weights):
-            analytic = observed.get(name, 0) - expected.get(name, 0.0)
+            analytic = gradient.get(name, 0.0)
             hi, lo = dict(model.weights), dict(model.weights)
             hi[name] += step
             lo[name] -= step

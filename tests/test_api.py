@@ -1,0 +1,28 @@
+"""The public API: `deporder.__all__` and the README Library example."""
+
+import re
+from pathlib import Path
+
+import deporder
+from deporder.treebank import DepTree
+
+from conftest import UD_ROOT
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in deporder.__all__ if not hasattr(deporder, name)]
+    assert not missing
+    assert len(set(deporder.__all__)) == len(deporder.__all__)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    monkeypatch.chdir(UD_ROOT / "xx")  # the example opens xx-ud-train.conllu
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["model"].pos_class == "V"
+    assert namespace["model"].training_meta.converged
+    assert isinstance(namespace["permuted"], DepTree)

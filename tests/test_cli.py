@@ -477,6 +477,18 @@ class TestPerplexityCommand:
                          "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"))
         assert code == EXIT_MISMATCH
 
+    def test_empty_eval_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.conllu"
+        empty.write_text("", encoding="utf-8")
+        lm_path = tmp_path / "out.lm"
+        code, out, err = run(capsys, "perplexity",
+                             "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+                             "--eval", str(empty), "--save-lm", str(lm_path))
+        assert code == EXIT_BAD_DATA
+        assert "nothing to evaluate" in err
+        assert out == ""
+        assert not lm_path.exists()
+
 
 class TestSelectCommand:
     def test_ranked_table(self, tmp_path, capsys):
@@ -494,6 +506,19 @@ class TestSelectCommand:
         assert lines[0] == "language\tlog2prob\trank"
         assert lines[1].startswith("sov\t") and lines[1].endswith("\t1")
         assert lines[2].startswith("nadj\t") and lines[2].endswith("\t2")
+
+    def test_empty_target_is_bad_data(self, tmp_path, capsys):
+        run(capsys, "perplexity",
+            "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+            "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"),
+            "--save-lm", str(tmp_path / "sov.lm"))
+        empty = tmp_path / "empty.conllu"
+        empty.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "select", "--target", str(empty),
+                             "--candidates", str(tmp_path / "sov.lm"))
+        assert code == EXIT_BAD_DATA
+        assert "nothing to evaluate" in err
+        assert out == ""
 
 
 class TestValidateCommand:

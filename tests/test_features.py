@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deporder.features import (ExtendedSequence, build_h_whitelist, extract,
-                               hgram_features, identity_order, pair_features,
-                               pair_groups)
+                               identity_order, pair_groups, span_name)
 from deporder.treebank import LocalConfig
 
 SUBTREE = LocalConfig("NOUN", "dobj",
@@ -44,54 +43,58 @@ def random_config(rnd, n):
     return LocalConfig("NOUN", "dobj", elements)
 
 
+def pair_names(seq, i, j):
+    """All non-H feature names fired by the slot pair (i, j), i < j."""
+    return {name for group in pair_groups(seq.slots, seq.head_slot, i, j)
+            for name in group}
+
+
 class TestPairFeatures:
     def test_head_direction_pair(self):
-        assert set(pair_features(SUBTREE_SEQ, 1, 3)) == {"L.DET.det", "L.DET", "L.det"}
+        assert pair_names(SUBTREE_SEQ, 1, 3) == {"L.DET.det", "L.DET", "L.det"}
 
     def test_sibling_positional_adjacency_pair(self):
-        assert set(pair_features(SUBTREE_SEQ, 1, 2)) == {
+        assert pair_names(SUBTREE_SEQ, 1, 2) == {
             "L.DET.det.ADJ.amod", "L.DET.ADJ", "L.det.amod",
             "l.DET.det.ADJ.amod", "l.DET.ADJ", "l.det.amod",
             "A.DET.det.ADJ.amod", "A.DET.ADJ", "A.det.amod",
         }
 
     def test_head_to_eos_pair(self):
-        assert set(pair_features(SUBTREE_SEQ, 3, 4)) == {
+        assert pair_names(SUBTREE_SEQ, 3, 4) == {
             "A.NOUN.head.EOS.EOS", "A.NOUN.EOS", "A.head.EOS"}
 
     def test_sentinel_left_of_head_fires_nothing_directional(self):
         # BOS left of the head is not a real node, so no L features
-        assert set(pair_features(SUBTREE_SEQ, 0, 3)) == set()
+        assert pair_names(SUBTREE_SEQ, 0, 3) == set()
 
     def test_positional_direction_classes(self):
         config = LocalConfig("VERB", "root",
                              (("NOUN", "nsubj"), ("NOUN", "head"),
                               ("NOUN", "dobj"), ("ADV", "advmod")))
         seq = ExtendedSequence.from_config(config, (1, 2, 3, 4))
-        assert "m.NOUN.nsubj.NOUN.dobj" in pair_features(seq, 1, 3)
-        assert "r.NOUN.dobj.ADV.advmod" in pair_features(seq, 3, 4)
+        assert "m.NOUN.nsubj.NOUN.dobj" in pair_names(seq, 1, 3)
+        assert "r.NOUN.dobj.ADV.advmod" in pair_names(seq, 3, 4)
         seq2 = ExtendedSequence.from_config(config, (1, 3, 2, 4))
-        assert "l.NOUN.nsubj.NOUN.dobj" in pair_features(seq2, 1, 2)
-
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            pair_features(SUBTREE_SEQ, 2, 2)
+        assert "l.NOUN.nsubj.NOUN.dobj" in pair_names(seq2, 1, 2)
 
 
 class TestHgramFeatures:
     def test_three_slot_span_with_bos(self):
-        assert hgram_features(SUBTREE_SEQ, 0, 2) == ["H.BOS.BOS.DET.det.ADJ.amod"]
+        assert span_name(SUBTREE_SEQ.slots, 0, 2) == "H.BOS.BOS.DET.det.ADJ.amod"
 
     def test_three_slot_span_inner(self):
-        assert hgram_features(SUBTREE_SEQ, 1, 3) == ["H.DET.det.ADJ.amod.NOUN.head"]
+        assert span_name(SUBTREE_SEQ.slots, 1, 3) == "H.DET.det.ADJ.amod.NOUN.head"
 
     def test_span_length_bound(self):
         config = LocalConfig("NOUN", "dobj",
                              (("DET", "det"), ("ADJ", "amod"),
                               ("ADJ", "amod"), ("NOUN", "head")))
-        seq = ExtendedSequence.from_config(config, (1, 2, 3, 4))
-        assert hgram_features(seq, 0, 5) == []  # six slots is past the limit
-        assert hgram_features(seq, 0, 4) != []
+        slots = ExtendedSequence.from_config(config, (1, 2, 3, 4)).slots
+        fired = extract(config, (1, 2, 3, 4))
+        assert span_name(slots, 0, 5) not in fired  # six slots is past the limit
+        assert span_name(slots, 0, 4) in fired
+        assert span_name(slots, 0, 1) not in fired  # two slots fall short
 
 
 class TestExtract:

@@ -47,11 +47,11 @@ LM_DIGESTS = {
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "03f3493860dacb39c8cc7f9ffdb35b864438c882517471b4c88e76af9c8e8aed",
+        "49049f6625d256ec02046a1212346cc595a9ccd570c115d5ba80a1e524900cbe",
     "xx~nadj@N~sov@V":
-        "110fb226468cc55d4fcc6e7dc27584d755f5c3a79548f761c8fbc792774d85de",
+        "2796e8127a3335304c468eb9be20e1491b65d131d8a6acdf219039904dc1ffe4",
     "nadj~sov@V":
-        "d6e381fc91ae481848a74c19a5f5fd848abcf8276afe4011bc902dee7755e404",
+        "29d3b0b324e4093ae05f9df655708a8a7f5c989ab414d26b1134455e38263ca5",
 }
 
 

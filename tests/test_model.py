@@ -9,11 +9,9 @@ import pytest
 from deporder import features
 from deporder.features import extract, normalize_symbol
 from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
-                            OrderingModel, _CompiledCorpus, _ordering_table,
-                            enumerate_scores,
+                            OrderingModel, _CompiledCorpus, enumerate_scores,
                             freeness, interpolate, load_model,
                             log_likelihood, log_partition,
-                            log_partition_and_expectation, mean_log_likelihood,
                             model_from_text, model_to_text, score, train,
                             uniform_model)
 from deporder.sjt import sjt_enumerate
@@ -69,6 +67,29 @@ def brute_force_expectation(model, config):
     return logz, acc
 
 
+def fired_h_names(configs):
+    """Every H name that some ordering of some configuration fires."""
+    return frozenset(name for c in configs
+                     for perm in itertools.permutations(range(1, c.n + 1))
+                     for name in features.iter_h_names(c, perm))
+
+
+def corpus_gradient(model, config):
+    """The gradient by name of a one-configuration corpus's log-likelihood
+    at the model's weights: observed minus expected feature counts."""
+    corpus = _CompiledCorpus([config], model.h_whitelist)
+    theta = np.array([model.weights.get(name, 0.0) for name in corpus.name_index])
+    _, grad = corpus.objective_and_gradient(theta)
+    return dict(zip(corpus.name_index, grad.tolist()))
+
+
+def corpus_expectation(model, config):
+    """Expected feature counts: observed counts minus `corpus_gradient`."""
+    observed = extract(config, tuple(range(1, config.n + 1)), model.h_whitelist)
+    return {name: observed.get(name, 0) - g
+            for name, g in corpus_gradient(model, config).items()}
+
+
 class TestScore:
     def test_zero_weights(self):
         model = uniform_model()
@@ -122,20 +143,18 @@ NEVER_FIRING = frozenset({
 
 
 def name_table_scores(model, config):
-    """Every ordering's score from the names `_ordering_table` builds: H
-    names only if whitelisted, weights added per state by `np.bincount`,
-    then each ordering's states gathered and summed."""
-    orders, names, owner, codes = _ordering_table(config, None)
-    keep = np.array([not name.startswith("H.") or name in model.h_whitelist
-                     for name in names])
+    """Every ordering's score from the names a one-configuration corpus
+    gives its states under the model's H whitelist: weights added per state
+    by `np.bincount`, then each ordering's states gathered and summed."""
+    corpus = _CompiledCorpus([config], model.h_whitelist)
+    (codes, span, owner, ids, _), = corpus.blocks
+    names = list(corpus.name_index)
     state_weight = np.bincount(
-        owner[keep], [model.weights.get(name, 0.0)
-                      for name, kept in zip(names, keep) if kept],
-        int(codes.max()) + 1)
-    scores = np.empty(len(codes))
-    for k in range(0, len(codes), GATHER_ROWS):
-        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return list(orders), scores
+        owner, [model.weights.get(names[i], 0.0) for i in ids.tolist()], span)
+    scores = np.empty(codes.shape[1])
+    for k in range(0, len(scores), GATHER_ROWS):
+        scores[k:k + GATHER_ROWS] = state_weight[codes[0, k:k + GATHER_ROWS]].sum(axis=1)
+    return list(sjt_enumerate(config.n)), scores
 
 
 def whitelist_models(rnd, config):
@@ -143,8 +162,7 @@ def whitelist_models(rnd, config):
     and on names that never fire, under the H whitelists: every H name it
     fires, none, and a random half of them plus `NEVER_FIRING`.  H weights
     outside the whitelist must stay silent."""
-    _, names, _, _ = _ordering_table(config, None)
-    fired = sorted(set(names))
+    fired = sorted(_CompiledCorpus([config], fired_h_names([config])).name_index)
     h_names = [name for name in fired if name.startswith("H.")]
     weights = {name: rnd.gauss(0.0, 1.0) for name in rnd.sample(fired, len(fired) // 3)}
     weights |= {name: rnd.gauss(0.0, 1.0) for name in NEVER_FIRING}
@@ -194,13 +212,16 @@ class TestSymbolCodedScores:
 
         kept, _ = filter_for_generation(xx_train_trees)
         configs = [c for t in kept for c in local_configs(t, "N")]
+        usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
+        whitelist = xx_models[0].h_whitelist
         # fresh models, so their symbol-coded weights are built under the patch
         model_n = interpolate(sov_n_model, xx_models[0])
         model_v = interpolate(xx_models[1], xx_models[1], 0.0)
         monkeypatch.setattr(features, "span_name", refuse)
         monkeypatch.setattr(features, "_span_name", refuse)
-        with pytest.raises(AssertionError):  # training still names windows
-            _ordering_table(configs[0], None)
+        # training under an explicit whitelist names no window either
+        assert _CompiledCorpus(usable, whitelist).name_index
+        assert train(usable, whitelist).training_meta.converged
         for config in configs:
             enumerate_scores(model_n, config)
             sample_ordering(model_n, config, RngStream("guard", config.n))
@@ -209,7 +230,8 @@ class TestSymbolCodedScores:
 
 def compile_cases(rnd):
     """Configurations of every trainable size, unknown labels and repeats,
-    under None, empty and random H whitelists."""
+    under H whitelists of every name they fire, none, and a random third of
+    them plus `NEVER_FIRING`."""
     configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
     configs += [
         LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
@@ -217,12 +239,9 @@ def compile_cases(rnd):
                                      ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
     ]
     configs += configs[:2]  # repeats are compiled once
-    h_names = sorted({name for c in configs
-                      for perm in (tuple(range(1, c.n + 1)),
-                                   tuple(range(c.n, 0, -1)))
-                      for name in extract(c, perm) if name.startswith("H.")})
-    return configs, (None, frozenset(),
-                     frozenset(rnd.sample(h_names, len(h_names) // 3)))
+    h_names = sorted(fired_h_names(configs))
+    return configs, (frozenset(h_names), frozenset(),
+                     frozenset(rnd.sample(h_names, len(h_names) // 3)) | NEVER_FIRING)
 
 
 def distinct_configs(configs):
@@ -246,14 +265,15 @@ def stacked_groups(corpus):
 
 def reference_objective(configs, whitelist, theta):
     """Mean log-likelihood and its gradient by feature name, configuration
-    by configuration, from `log_partition_and_expectation`."""
+    by configuration, by brute force over every ordering."""
     model = OrderingModel("t", "N", theta, frozenset(
         n for n in theta if n.startswith("H.")))
     value, grad = 0.0, Counter()
     for config in configs:
-        value += log_likelihood(model, config) / len(configs)
-        _, expected = log_partition_and_expectation(model, config)
-        observed = extract(config, tuple(range(1, config.n + 1)), whitelist)
+        identity = tuple(range(1, config.n + 1))
+        logz, expected = brute_force_expectation(model, config)
+        value += (score(model, config, identity) - logz) / len(configs)
+        observed = extract(config, identity, whitelist)
         for name in expected.keys() | observed.keys():
             grad[name] += (observed.get(name, 0)
                            - expected.get(name, 0.0)) / len(configs)
@@ -316,7 +336,7 @@ class TestObjective:
             configs += [random_config(rnd, n)
                         for _ in range(GATHER_ROWS // math.factorial(n) + 2)]
         configs += configs[::4]
-        corpus = assert_matches_reference(configs, None, rnd)
+        corpus = assert_matches_reference(configs, fired_h_names(configs), rnd)
         assert len(corpus.groups) == len(distinct_configs(configs)[0])
         for n in (5, 6):
             assert sum(codes.shape[1] == math.factorial(n)
@@ -326,7 +346,7 @@ class TestObjective:
         configs = [LocalConfig("NOUN", "dobj", (("NOUN", "head"),)),
                    LocalConfig("VERB", "root", (("VERB", "head"),)),
                    LocalConfig("NOUN", "nsubj", (("PROPN", "head"),))] * 2
-        corpus = _CompiledCorpus(configs, None)
+        corpus = _CompiledCorpus(configs, fired_h_names(configs))
         value, grad = corpus.objective_and_gradient(
             np.linspace(-1.0, 1.0, len(corpus.name_index)))
         assert value == 0.0
@@ -355,7 +375,7 @@ class TestObjective:
 class TestPartition:
     def test_uniform_n3(self):
         model = uniform_model()
-        logz, expected = log_partition_and_expectation(model, SUBTREE)
+        logz, expected = log_partition(model, SUBTREE), corpus_expectation(model, SUBTREE)
         assert abs(logz - math.log(6)) < 1e-12
         mean = {}
         for perm in itertools.permutations((1, 2, 3)):
@@ -365,7 +385,7 @@ class TestPartition:
             assert abs(mean.get(name, 0.0) - expected.get(name, 0.0)) < 1e-12
 
     def test_two_permutation_hand_case(self):
-        logz, _ = log_partition_and_expectation(DET_MODEL, DET_PAIR)
+        logz = log_partition(DET_MODEL, DET_PAIR)
         assert abs(logz - math.log(math.e + 1.0)) < 1e-12
         _, scores = enumerate_scores(DET_MODEL, DET_PAIR)
         p_det_first = math.exp(scores[0] - logz)
@@ -376,7 +396,7 @@ class TestPartition:
         for _ in range(25):
             config = random_config(rnd, rnd.randint(1, 5))
             model = random_model(rnd, config)
-            logz, expected = log_partition_and_expectation(model, config)
+            logz, expected = log_partition(model, config), corpus_expectation(model, config)
             bf_logz, bf_expected = brute_force_expectation(model, config)
             assert abs(math.exp(logz) - math.exp(bf_logz)) \
                 < 1e-9 * math.exp(bf_logz)
@@ -389,7 +409,7 @@ class TestPartition:
         rnd = random.Random(50 + n)
         config = random_config(rnd, n)
         model = random_model(rnd, config, n_weights=30)
-        logz, expected = log_partition_and_expectation(model, config)
+        logz, expected = log_partition(model, config), corpus_expectation(model, config)
         bf_logz, bf_expected = brute_force_expectation(model, config)
         assert abs(logz - bf_logz) < 1e-9
         assert expected.keys() == bf_expected.keys()
@@ -419,11 +439,8 @@ class TestGradient:
             config = random_config(rnd, rnd.randint(2, 4))
             model = random_model(rnd, config, n_weights=8)
             names = sorted(model.weights)
-            logz, expected = log_partition_and_expectation(model, config)
-            observed = extract(config, tuple(range(1, config.n + 1)),
-                               model.h_whitelist)
-            analytic = {n: observed.get(n, 0) - expected.get(n, 0.0)
-                        for n in names}
+            gradient = corpus_gradient(model, config)
+            analytic = {n: gradient.get(n, 0.0) for n in names}
             step = 1e-5
             for name in names:
                 hi = dict(model.weights)
