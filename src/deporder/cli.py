@@ -114,8 +114,8 @@ def cmd_batch(args) -> int:
     calls = [functools.partial(_synthesize_one, name, args.lam, args.seed,
                                args.data, args.models, args.out, mode)
              for name in names]
-    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
-            if args.jobs > 1 else None)
+    jobs = min(args.jobs, len(names))  # the pool forks every worker at its first submit
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     failures = 0
     with pool or contextlib.nullcontext():
         if pool is not None:

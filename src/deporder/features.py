@@ -92,7 +92,9 @@ def identity_order(n: int) -> tuple[int, ...]:
 def symbol_pair_groups(a, b, dclass: int, adjacent: bool):
     """Feature-name groups fired by symbol `a` in a slot before symbol `b`'s,
     the slots both left of the head, straddling it or both right of it for
-    `dclass` 0, 1 or 2.  Only the sentinels have tags BOS and EOS."""
+    `dclass` 0, 1 or 2.  Each group is a (full, tag-backoff, relation-backoff)
+    triple, save the head-direction group, whose backoffs drop one field each.
+    Only the sentinels have tags BOS and EOS."""
     (ti, ri), (tj, rj) = a, b
     groups = []
     if rj == HEAD_RELATION and ti != BOS:
@@ -106,24 +108,10 @@ def symbol_pair_groups(a, b, dclass: int, adjacent: bool):
     return tuple(groups)
 
 
-def pair_groups(slots, head_slot: int, i: int, j: int):
-    """Feature-name groups fired by the ordered slot pair (i, j), i < j.
-
-    Each group is a (full, tag-backoff, relation-backoff) triple, except the
-    head-direction group whose backoffs drop one field each.
-    """
-    return symbol_pair_groups(slots[i], slots[j],
-                              1 - (j < head_slot) + (i > head_slot), j == i + 1)
-
-
 @lru_cache(maxsize=1 << 18)
-def _span_name(symbols) -> str:
+def span_name(symbols: tuple) -> str:
+    """The higher-order k-gram name over a tuple of contiguous slots' symbols."""
     return "H." + ".".join(f"{t}.{r}" for t, r in symbols)
-
-
-def span_name(slots, i: int, j: int) -> str:
-    """The higher-order k-gram name over contiguous slots i..j."""
-    return _span_name(tuple(slots[i:j + 1]))
 
 
 def extract(config: LocalConfig, order: tuple[int, ...],
@@ -139,22 +127,14 @@ def extract(config: LocalConfig, order: tuple[int, ...],
     counts: Counter = Counter()
     for i in range(top):
         for j in range(i + 1, top + 1):
-            for group in pair_groups(slots, head_slot, i, j):
+            dclass = 1 - (j < head_slot) + (i > head_slot)
+            for group in symbol_pair_groups(slots[i], slots[j], dclass, j == i + 1):
                 counts.update(group)
             if H_MIN_SPAN <= j - i <= H_MAX_SPAN:
-                name = span_name(slots, i, j)
+                name = span_name(slots[i:j + 1])
                 if whitelist is None or name in whitelist:
                     counts[name] += 1
     return counts
-
-
-def iter_h_names(config: LocalConfig, order: tuple[int, ...]) -> Iterable[str]:
-    """H feature names fired by one ordering (with multiplicity)."""
-    seq = ExtendedSequence.from_config(config, order)
-    top = seq.n + 1
-    for i in range(top):
-        for j in range(i + H_MIN_SPAN, min(i + H_MAX_SPAN, top) + 1):
-            yield span_name(seq.slots, i, j)
 
 
 def build_h_whitelist(configs: Iterable[LocalConfig]) -> set[str]:
@@ -165,7 +145,10 @@ def build_h_whitelist(configs: Iterable[LocalConfig]) -> set[str]:
     """
     counts: Counter = Counter()
     for config in configs:
-        counts.update(iter_h_names(config, identity_order(config.n)))
+        slots = ExtendedSequence.from_config(config, identity_order(config.n)).slots
+        for i in range(len(slots)):
+            for j in range(i + H_MIN_SPAN, min(i + H_MAX_SPAN + 1, len(slots))):
+                counts[span_name(slots[i:j + 1])] += 1
     if not counts:
         return set()
     keep = math.ceil(H_WHITELIST_FRACTION * len(counts))

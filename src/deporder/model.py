@@ -57,7 +57,6 @@ class TrainingMeta:
     grad_inf_norm: float
     converged: bool
     dropped_configs: int = 0
-    objective_history: list[float] = field(default_factory=list)
     evaluations: int = 0
 
 
@@ -76,11 +75,6 @@ class OrderingModel:
     h_whitelist: frozenset[str] = frozenset()
     training_meta: TrainingMeta | None = None
     _lookup: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-
-def uniform_model(language: str = "", pos_class: str = "N") -> OrderingModel:
-    """All-zero weights: every ordering of a configuration is equally likely."""
-    return OrderingModel(language, pos_class, {}, frozenset())
 
 
 def score(model: OrderingModel, config: LocalConfig, order: tuple[int, ...]) -> float:
@@ -232,35 +226,20 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     return list(orders), scores[rows]
 
 
-def _logsumexp(scores: np.ndarray) -> float:
-    m = float(scores.max())
-    return m + math.log(float(np.exp(scores - m).sum()))
-
-
-def log_partition(model: OrderingModel, config: LocalConfig) -> float:
-    _, scores = enumerate_scores(model, config)
-    return _logsumexp(scores)
-
-
 def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
     """Log probability (nats) of the configuration's observed order."""
     _, scores = enumerate_scores(model, config)
-    return float(scores[0]) - _logsumexp(scores)
-
-
-def mean_log_likelihood(model: OrderingModel, configs: Sequence[LocalConfig]) -> float:
-    if not configs:
-        raise ValueError("no configurations")
-    return sum(log_likelihood(model, c) for c in configs) / len(configs)
+    m = float(scores.max())
+    return float(scores[0]) - m - math.log(float(np.exp(scores - m).sum()))
 
 
 class _CompiledCorpus:
     """Deduplicated training configurations, stacked by size into blocks.
 
     `groups` lists the distinct configurations' normalized keys, first seen
-    first, and `multiplicities` their counts.  Configurations of size n share
-    `_sjt_table(n)`'s rows, columns and `span` states, so a block (codes,
-    span, owner, ids, weight) stacks the codes of the next up to
+    first; `total` counts every configuration.  Configurations of size n
+    share `_sjt_table(n)`'s rows, columns and `span` states, so a block
+    (codes, span, owner, ids, weight) stacks the codes of the next up to
     `GATHER_ROWS // n!` (one at least), in size order, into a (groups, n!,
     columns) array.  Its state `i * span + s`, state s of group i, fires the
     feature ids `ids[owner == i * span + s]`: the names of its pair key, or
@@ -274,8 +253,7 @@ class _CompiledCorpus:
             key = tuple(features.normalize_symbol(t, r) for t, r in config.elements)
             distinct.setdefault(key, [config, 0])[1] += 1
         self.groups = list(distinct)
-        self.multiplicities = [count for _, count in distinct.values()]
-        self.total = sum(self.multiplicities)
+        self.total = sum(count for _, count in distinct.values())
         self.name_index: dict[str, int] = {}
         self.blocks = []
         window_names = _window_names(whitelist)
@@ -373,7 +351,6 @@ def train(configs: Sequence[LocalConfig],
     theta = np.zeros(len(corpus.name_index))
     value, grad = objective(theta)
     evaluations = 1
-    history = [value]
     pairs: deque = deque(maxlen=HISTORY)  # (s, y, 1 / s.y), oldest first
     iterations = 0
     converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOLERANCE)
@@ -409,15 +386,13 @@ def train(configs: Sequence[LocalConfig],
         if curvature > 0.0:  # a pair without it would break H's positivity
             pairs.append((s, y, 1.0 / curvature))
         theta, value, grad = candidate, new_value, new_grad
-        history.append(value)
         converged = bool(np.max(np.abs(grad)) <= GRAD_TOLERANCE)
 
     weights = {name: float(theta[i]) for name, i in corpus.name_index.items()
                if theta[i] != 0.0}
     meta = TrainingMeta(iterations, float(value),
                         float(np.max(np.abs(grad), initial=0.0)), converged,
-                        dropped_configs=dropped, objective_history=history,
-                        evaluations=evaluations)
+                        dropped_configs=dropped, evaluations=evaluations)
     return OrderingModel(language, pos_class, weights, frozenset(whitelist), meta)
 
 
@@ -513,6 +488,8 @@ def model_from_text(text: str) -> OrderingModel:
                 raise ValueError(f"line {lineno}: weight {value!r} is not a number") from None
             if not math.isfinite(weight):
                 raise ValueError(f"line {lineno}: weight {value!r} is not finite")
+            if name in weights:
+                raise ValueError(f"line {lineno}: repeated feature {name!r}")
             weights[name] = weight
             if name.startswith("H."):
                 whitelist.add(name)

@@ -86,6 +86,8 @@ class RngStream:
 
     The state is a Mersenne Twister seeded from the SHA-256 hash of the
     derivation key, so equal keys give equal draw sequences everywhere.
+    One sentence's stream has the key (seed, spec dirname, split, 0-based
+    ordinal of the sentence in its split).
     """
 
     VERSION = "sha256-mt19937/1"
@@ -94,12 +96,6 @@ class RngStream:
         self.key = "\x1f".join(str(p) for p in key_parts)
         digest = hashlib.sha256(self.key.encode("utf-8")).digest()
         self._rng = random.Random(int.from_bytes(digest[:16], "big"))
-
-    @classmethod
-    def for_sentence(cls, seed: int, dirname: str, split: str,
-                     ordinal: int) -> "RngStream":
-        """Stream for one sentence: (seed, spec dirname, split, 0-based ordinal)."""
-        return cls(seed, dirname, split, ordinal)
 
     def uniform(self) -> float:
         """One draw from [0, 1)."""
@@ -269,7 +265,7 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
             if reason is not None:
                 dropped[reason].append(tree.source_id)
                 continue
-            rng = RngStream.for_sentence(spec.seed, spec.dirname, split, ordinal)
+            rng = RngStream(spec.seed, spec.dirname, split, ordinal)
             permuted = permute_tree(tree, model_n, model_v, rng)
             mwt_dropped += len(tree.ranges)
             # remapping never invents a deps value, so cleared = lost count

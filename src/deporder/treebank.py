@@ -110,22 +110,12 @@ class LocalConfig:
     a dependent labelled "head" carries "dep".
     """
 
-    head_tag: str
-    head_relation_to_parent: str
     elements: tuple[tuple[str, str], ...]
     source: tuple[str, int] = ("", 0)
 
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    @property
-    def head_position(self) -> int:
-        """1-based position of the head element."""
-        for k, (_, rel) in enumerate(self.elements, start=1):
-            if rel == HEAD_RELATION:
-                return k
-        raise ValueError("configuration has no head element")
 
 
 @dataclass(frozen=True)
@@ -374,8 +364,7 @@ def local_configs(tree: DepTree, pos_class: str) -> list[LocalConfig]:
              else "dep" if u.deprel == HEAD_RELATION else u.deprel)
             for u in units
         )
-        configs.append(LocalConfig(tok.upos, tok.deprel, elements,
-                                   (tree.source_id, tok.index)))
+        configs.append(LocalConfig(elements, (tree.source_id, tok.index)))
     return configs
 
 

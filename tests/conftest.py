@@ -1,8 +1,10 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from deporder.model import save_model, train
+from deporder.model import enumerate_scores, save_model, train
 from deporder.treebank import is_projective, local_configs, parse_conllu
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -15,6 +17,13 @@ def read_trees(path, mode="strict"):
 
 def load_split(language, split="train"):
     return read_trees(UD_ROOT / language / f"{language}-ud-{split}.conllu")
+
+
+def log_partition(model, config):
+    """Log of the sum of exp(score) over every ordering `enumerate_scores` lists."""
+    scores = enumerate_scores(model, config)[1]
+    top = float(scores.max())
+    return top + math.log(float(np.exp(scores - top).sum()))
 
 
 def chain_conllu(length):

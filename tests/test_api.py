@@ -11,6 +11,26 @@ from conftest import UD_ROOT
 README = Path(__file__).parents[1] / "README.md"
 
 
+PUBLIC_NAMES = [
+    "ConlluError", "DepTree", "ExtendedSequence", "FilterReport",
+    "LanguageSpec", "LocalConfig", "OrderingModel", "RngStream",
+    "SpecError", "Token", "TrainingMeta", "TrigramLM", "build_h_whitelist",
+    "cross_product_specs", "extract", "filter_for_generation", "freeness",
+    "interpolate", "is_projective", "load_lm", "load_model",
+    "local_configs", "parse_conllu", "permute_tree", "perplexity",
+    "sample_ordering", "save_lm", "save_model", "score",
+    "serialize_conllu", "sjt_enumerate", "synthesize_language",
+    "touched_fraction", "train", "train_trigram",
+]
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is an API change: update this list
+    # and the package version together
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert deporder.__all__ == PUBLIC_NAMES
+
+
 def test_every_public_name_resolves():
     missing = [name for name in deporder.__all__ if not hasattr(deporder, name)]
     assert not missing

@@ -9,7 +9,7 @@ import pytest
 from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
-from deporder.model import save_model, uniform_model
+from deporder.model import OrderingModel, save_model
 
 from conftest import UD_ROOT, chain_conllu
 
@@ -381,7 +381,7 @@ class TestBatchCommand:
         for split in ("train", "dev", "test"):
             (data / "cc" / f"cc-ud-{split}.conllu").write_text(chain_conllu(1200))
         for pos_class in ("N", "V"):
-            save_model(uniform_model("cc", pos_class),
+            save_model(OrderingModel("cc", pos_class, {}),
                        models / f"cc-{pos_class}.model")
         specs = tmp_path / "specs.txt"
         specs.write_text("cc~xx@N\nxx~sov@V\n")
@@ -402,6 +402,44 @@ class TestBatchCommand:
         assert out == ""
         assert [line.split("\t")[:2] for line in err.splitlines()] \
             == [["failed", "xx~sov@V"], ["failed", "sov~nadj@N"]]
+
+    @pytest.mark.parametrize("env, argv, specs, workers", [
+        (None, ["--jobs", "64"], 3, [3]), (None, ["--jobs", "2"], 3, [2]),
+        ("64", [], 3, [3]), (None, ["--jobs", "64"], 1, []),
+        (None, ["--jobs", "1"], 3, [])])
+    def test_no_more_workers_than_specs(self, tmp_path, capsys, monkeypatch,
+                                        env, argv, specs, workers):
+        started = []
+
+        class RecordingPool:
+            """Records its size and runs each call inline; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, call):
+                future = concurrent.futures.Future()
+                future.set_result(call())
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_synthesize_one", lambda name, *rest: tmp_path / name)
+        if env is not None:
+            monkeypatch.setenv("DEPORDER_JOBS", env)
+        names = [f"l{k}" for k in range(specs)]
+        (tmp_path / "specs.txt").write_text("".join(f"{name}\n" for name in names))
+        code, out, _ = run(capsys, "batch", "--specs", str(tmp_path / "specs.txt"),
+                           "--data", str(tmp_path), "--models", str(tmp_path),
+                           "--out", str(tmp_path / "out"), *argv)
+        assert code == EXIT_OK
+        assert out.splitlines() == [f"done\t{name}" for name in names]
+        assert started == workers
 
     def test_spec_queued_after_a_worker_died_fails(self):
         class BrokenPool:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deporder.features import (ExtendedSequence, build_h_whitelist, extract,
-                               identity_order, pair_groups, span_name)
+                               identity_order, span_name, symbol_pair_groups)
 from deporder.treebank import LocalConfig
 
-SUBTREE = LocalConfig("NOUN", "dobj",
-                      (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
+SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
 SUBTREE_SEQ = ExtendedSequence.from_config(SUBTREE, (1, 2, 3))
 
 # every feature the worked determiner-adjective-noun subtree fires in its
@@ -40,13 +39,18 @@ def random_config(rnd, n):
     elements = tuple(("NOUN", "head") if i == head
                      else (rnd.choice(tags), rnd.choice(rels))
                      for i in range(n))
-    return LocalConfig("NOUN", "dobj", elements)
+    return LocalConfig(elements)
+
+
+def slot_pair_groups(seq, i, j):
+    """The feature-name groups fired by the slot pair (i, j), i < j."""
+    dclass = 1 - (j < seq.head_slot) + (i > seq.head_slot)
+    return symbol_pair_groups(seq.slots[i], seq.slots[j], dclass, j == i + 1)
 
 
 def pair_names(seq, i, j):
     """All non-H feature names fired by the slot pair (i, j), i < j."""
-    return {name for group in pair_groups(seq.slots, seq.head_slot, i, j)
-            for name in group}
+    return {name for group in slot_pair_groups(seq, i, j) for name in group}
 
 
 class TestPairFeatures:
@@ -69,32 +73,31 @@ class TestPairFeatures:
         assert pair_names(SUBTREE_SEQ, 0, 3) == set()
 
     def test_positional_direction_classes(self):
-        config = LocalConfig("VERB", "root",
-                             (("NOUN", "nsubj"), ("NOUN", "head"),
+        config = LocalConfig((("NOUN", "nsubj"), ("NOUN", "head"),
                               ("NOUN", "dobj"), ("ADV", "advmod")))
-        seq = ExtendedSequence.from_config(config, (1, 2, 3, 4))
-        assert "m.NOUN.nsubj.NOUN.dobj" in pair_names(seq, 1, 3)
-        assert "r.NOUN.dobj.ADV.advmod" in pair_names(seq, 3, 4)
-        seq2 = ExtendedSequence.from_config(config, (1, 3, 2, 4))
-        assert "l.NOUN.nsubj.NOUN.dobj" in pair_names(seq2, 1, 2)
+        # read through `extract`, which assigns the classes
+        fired = extract(config, (1, 2, 3, 4))
+        assert "m.NOUN.nsubj.NOUN.dobj" in fired
+        assert "l.NOUN.nsubj.NOUN.dobj" not in fired
+        assert "r.NOUN.dobj.ADV.advmod" in fired
+        assert "l.NOUN.nsubj.NOUN.dobj" in extract(config, (1, 3, 2, 4))
 
 
 class TestHgramFeatures:
     def test_three_slot_span_with_bos(self):
-        assert span_name(SUBTREE_SEQ.slots, 0, 2) == "H.BOS.BOS.DET.det.ADJ.amod"
+        assert span_name(SUBTREE_SEQ.slots[0:3]) == "H.BOS.BOS.DET.det.ADJ.amod"
 
     def test_three_slot_span_inner(self):
-        assert span_name(SUBTREE_SEQ.slots, 1, 3) == "H.DET.det.ADJ.amod.NOUN.head"
+        assert span_name(SUBTREE_SEQ.slots[1:4]) == "H.DET.det.ADJ.amod.NOUN.head"
 
     def test_span_length_bound(self):
-        config = LocalConfig("NOUN", "dobj",
-                             (("DET", "det"), ("ADJ", "amod"),
+        config = LocalConfig((("DET", "det"), ("ADJ", "amod"),
                               ("ADJ", "amod"), ("NOUN", "head")))
         slots = ExtendedSequence.from_config(config, (1, 2, 3, 4)).slots
         fired = extract(config, (1, 2, 3, 4))
-        assert span_name(slots, 0, 5) not in fired  # six slots is past the limit
-        assert span_name(slots, 0, 4) in fired
-        assert span_name(slots, 0, 1) not in fired  # two slots fall short
+        assert span_name(slots[0:6]) not in fired  # six slots is past the limit
+        assert span_name(slots[0:5]) in fired
+        assert span_name(slots[0:2]) not in fired  # two slots fall short
 
 
 class TestExtract:
@@ -102,7 +105,7 @@ class TestExtract:
         assert dict(extract(SUBTREE, (1, 2, 3))) == SUBTREE_EXPECTED
 
     def test_lone_head(self):
-        lone = LocalConfig("PRON", "nsubj", (("PRON", "head"),))
+        lone = LocalConfig((("PRON", "head"),))
         got = extract(lone, (1,), whitelist=set())
         assert dict(got) == {
             "A.BOS.BOS.PRON.head": 1, "A.BOS.PRON": 1, "A.BOS.head": 1,
@@ -113,13 +116,11 @@ class TestExtract:
         assert sum(with_h.values()) == 7
 
     def test_identical_dependents_exchangeable(self):
-        config = LocalConfig("NOUN", "dobj",
-                             (("ADJ", "amod"), ("ADJ", "amod"), ("NOUN", "head")))
+        config = LocalConfig((("ADJ", "amod"), ("ADJ", "amod"), ("NOUN", "head")))
         assert extract(config, (1, 2, 3)) == extract(config, (2, 1, 3))
 
     def test_counts_accumulate(self):
-        config = LocalConfig("NOUN", "dobj",
-                             (("ADJ", "amod"), ("ADJ", "amod"), ("NOUN", "head")))
+        config = LocalConfig((("ADJ", "amod"), ("ADJ", "amod"), ("NOUN", "head")))
         counts = extract(config, (1, 2, 3))
         assert counts["L.ADJ.amod"] == 2
 
@@ -136,8 +137,7 @@ class TestExtract:
             assert set(restricted) <= set(full)
 
     def test_subtype_and_unknown_bucketing(self):
-        config = LocalConfig("NOUN", "dobj",
-                             (("VERB", "acl:rel"), ("BLORP", "zzz"),
+        config = LocalConfig((("VERB", "acl:rel"), ("BLORP", "zzz"),
                               ("NOUN", "head")))
         counts = extract(config, (1, 2, 3))
         assert counts["L.VERB.acl"] == 1
@@ -153,7 +153,7 @@ class TestExtract:
             extract(SUBTREE, (1, 1, 2))
 
     def test_headless_config_rejected(self):
-        bad = LocalConfig("NOUN", "dobj", (("DET", "det"),))
+        bad = LocalConfig((("DET", "det"),))
         with pytest.raises(ValueError):
             extract(bad, (1,))
 
@@ -177,7 +177,7 @@ class TestTemplateInvariants:
         # every full non-H name has both backoffs, counted at least as often
         for i in range(seq.n + 1):
             for j in range(i + 1, seq.n + 2):
-                for group in pair_groups(seq.slots, seq.head_slot, i, j):
+                for group in slot_pair_groups(seq, i, j):
                     full, tag_backoff, rel_backoff = group
                     assert counts[tag_backoff] >= counts[full] >= 1
                     assert counts[rel_backoff] >= counts[full]
@@ -190,7 +190,7 @@ class TestWhitelist:
             "PROPN", "AUX"]
 
     def lone(self, tag):
-        return LocalConfig(tag, "dep", ((tag, "head"),))
+        return LocalConfig(((tag, "head"),))
 
     def name_of(self, tag):
         return f"H.BOS.BOS.{tag}.head.EOS.EOS"
@@ -217,12 +217,13 @@ class TestWhitelist:
     def test_ranked_rule_matches_direct_count(self):
         import collections
         import math as _math
-        from deporder.features import iter_h_names
         rnd = random.Random(31)
         configs = [random_config(rnd, rnd.randint(1, 5)) for _ in range(200)]
         counter = collections.Counter()
-        for c in configs:
-            counter.update(iter_h_names(c, identity_order(c.n)))
+        for c in configs:  # the H names of the observed order, with their counts
+            counter.update({name: count for name, count
+                            in extract(c, identity_order(c.n)).items()
+                            if name.startswith("H.")})
         keep = _math.ceil(0.10 * len(counter))
         expected = {name for name, _ in
                     sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:keep]}

@@ -47,11 +47,11 @@ LM_DIGESTS = {
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "49049f6625d256ec02046a1212346cc595a9ccd570c115d5ba80a1e524900cbe",
+        "1ae6846830e6f1fc2f21f75121107757d9f8c1895d4af3472ef5a201a58bb18a",
     "xx~nadj@N~sov@V":
-        "2796e8127a3335304c468eb9be20e1491b65d131d8a6acdf219039904dc1ffe4",
+        "56a61578005d6031dafdbb74b38c48d27f38494a36f10c00e42942dfc047b825",
     "nadj~sov@V":
-        "29d3b0b324e4093ae05f9df655708a8a7f5c989ab414d26b1134455e38263ca5",
+        "5c060e885ec5cac4a681342601a9f3428190a94ecf8fb570189455472dd51f66",
 }
 
 

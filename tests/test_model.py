@@ -10,21 +10,19 @@ from deporder import features
 from deporder.features import extract, normalize_symbol
 from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
                             OrderingModel, _CompiledCorpus, enumerate_scores,
-                            freeness, interpolate, load_model,
-                            log_likelihood, log_partition,
-                            model_from_text, model_to_text, score, train,
-                            uniform_model)
+                            freeness, interpolate, load_model, log_likelihood,
+                            model_from_text, model_to_text, score, train)
 from deporder.sjt import sjt_enumerate
 from deporder.synthesis import RngStream, sample_ordering
 from deporder.treebank import (LocalConfig, filter_for_generation,
                                is_projective, local_configs)
 
-from conftest import load_split, train_fixture_model
+from conftest import load_split, log_partition, train_fixture_model
 
-SUBTREE = LocalConfig("NOUN", "dobj",
-                      (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
-DET_PAIR = LocalConfig("X", "dep", (("DET", "det"), ("X", "head")))
+SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
+DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
 DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0}, frozenset())
+UNIFORM = OrderingModel("u", "N", {})  # all-zero weights
 
 TAGS = ["DET", "ADJ", "NOUN", "ADV", "VERB", "ADP", "PRON"]
 RELS = ["det", "amod", "nsubj", "advmod", "dobj", "case", "nmod"]
@@ -35,7 +33,7 @@ def random_config(rnd, n):
     elements = tuple(("NOUN", "head") if i == head
                      else (rnd.choice(TAGS), rnd.choice(RELS))
                      for i in range(n))
-    return LocalConfig("NOUN", "dobj", elements)
+    return LocalConfig(elements)
 
 
 def random_model(rnd, config, n_weights=15, with_h=True):
@@ -71,7 +69,7 @@ def fired_h_names(configs):
     """Every H name that some ordering of some configuration fires."""
     return frozenset(name for c in configs
                      for perm in itertools.permutations(range(1, c.n + 1))
-                     for name in features.iter_h_names(c, perm))
+                     for name in extract(c, perm) if name.startswith("H."))
 
 
 def corpus_gradient(model, config):
@@ -92,9 +90,8 @@ def corpus_expectation(model, config):
 
 class TestScore:
     def test_zero_weights(self):
-        model = uniform_model()
         for perm in itertools.permutations((1, 2, 3)):
-            assert score(model, SUBTREE, perm) == 0.0
+            assert score(UNIFORM, SUBTREE, perm) == 0.0
 
     def test_single_feature_fires(self):
         model = OrderingModel("t", "N", {"L.DET.det": 2.0}, frozenset())
@@ -173,9 +170,9 @@ def whitelist_models(rnd, config):
 def coded_cases(rnd):
     """Configurations of every size 1..7, unknown labels and repeated symbols."""
     return [random_config(rnd, n) for n in range(1, 8)] + [
-        LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
-        LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
-                                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+        LocalConfig((("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
+        LocalConfig((("FOO", "nmod:poss"), ("VERB", "head"),
+                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
     ]
 
 
@@ -218,7 +215,6 @@ class TestSymbolCodedScores:
         model_n = interpolate(sov_n_model, xx_models[0])
         model_v = interpolate(xx_models[1], xx_models[1], 0.0)
         monkeypatch.setattr(features, "span_name", refuse)
-        monkeypatch.setattr(features, "_span_name", refuse)
         # training under an explicit whitelist names no window either
         assert _CompiledCorpus(usable, whitelist).name_index
         assert train(usable, whitelist).training_meta.converged
@@ -234,9 +230,9 @@ def compile_cases(rnd):
     them plus `NEVER_FIRING`."""
     configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
     configs += [
-        LocalConfig("NOUN", "dobj", (("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
-        LocalConfig("VERB", "root", (("FOO", "nmod:poss"), ("VERB", "head"),
-                                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+        LocalConfig((("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
+        LocalConfig((("FOO", "nmod:poss"), ("VERB", "head"),
+                     ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
     ]
     configs += configs[:2]  # repeats are compiled once
     h_names = sorted(fired_h_names(configs))
@@ -303,7 +299,7 @@ class TestCompiledRows:
             names = list(corpus.name_index)
             assert list(corpus.name_index.values()) == list(range(len(names)))
             assert len(corpus.groups) == len(distinct)
-            assert corpus.multiplicities == counts
+            assert corpus.total == sum(counts)
             for codes, *_ in corpus.blocks:
                 assert len(codes) == 1 or len(codes) * codes.shape[1] <= GATHER_ROWS
             groups = list(stacked_groups(corpus))
@@ -343,9 +339,9 @@ class TestObjective:
                        for codes, *_ in corpus.blocks) > 1
 
     def test_single_element_corpus_is_flat(self):
-        configs = [LocalConfig("NOUN", "dobj", (("NOUN", "head"),)),
-                   LocalConfig("VERB", "root", (("VERB", "head"),)),
-                   LocalConfig("NOUN", "nsubj", (("PROPN", "head"),))] * 2
+        configs = [LocalConfig((("NOUN", "head"),)),
+                   LocalConfig((("VERB", "head"),)),
+                   LocalConfig((("PROPN", "head"),))] * 2
         corpus = _CompiledCorpus(configs, fired_h_names(configs))
         value, grad = corpus.objective_and_gradient(
             np.linspace(-1.0, 1.0, len(corpus.name_index)))
@@ -374,8 +370,7 @@ class TestObjective:
 
 class TestPartition:
     def test_uniform_n3(self):
-        model = uniform_model()
-        logz, expected = log_partition(model, SUBTREE), corpus_expectation(model, SUBTREE)
+        logz, expected = log_partition(UNIFORM, SUBTREE), corpus_expectation(UNIFORM, SUBTREE)
         assert abs(logz - math.log(6)) < 1e-12
         mean = {}
         for perm in itertools.permutations((1, 2, 3)):
@@ -426,10 +421,9 @@ class TestPartition:
             assert abs(float(np.exp(scores - logz).sum()) - 1.0) < 1e-9
 
     def test_size_cap(self):
-        big = LocalConfig("NOUN", "dobj",
-                          tuple([("ADJ", "amod")] * 7 + [("NOUN", "head")]))
+        big = LocalConfig(tuple([("ADJ", "amod")] * 7 + [("NOUN", "head")]))
         with pytest.raises(ValueError):
-            log_partition(uniform_model(), big)
+            enumerate_scores(UNIFORM, big)
 
 
 class TestGradient:
@@ -457,17 +451,23 @@ class TestGradient:
 
 
 class TestTrain:
-    def test_separable_corpus_saturates(self):
+    def test_separable_corpus_saturates(self, monkeypatch):
         model = train([DET_PAIR] * 100, set())
         _, scores = enumerate_scores(model, DET_PAIR)
         logz = log_partition(model, DET_PAIR)
         assert math.exp(scores[0] - logz) > 0.99
-        history = model.training_meta.objective_history
-        assert all(b >= a for a, b in zip(history, history[1:]))
         assert model.training_meta.iterations <= 200
+        # the objective never falls from one iteration to the next: stop the
+        # same deterministic run after each k iterations and read its objective
+        history = []
+        for k in range(model.training_meta.iterations + 1):
+            monkeypatch.setattr("deporder.model.MAX_ITERATIONS", k)
+            history.append(train([DET_PAIR] * 100, set()).training_meta.objective)
+        assert history[-1] == model.training_meta.objective
+        assert all(b >= a for a, b in zip(history, history[1:]))
 
     def test_symmetric_corpus(self):
-        flipped = LocalConfig("X", "dep", (("X", "head"), ("DET", "det")))
+        flipped = LocalConfig((("X", "head"), ("DET", "det")))
         model = train([DET_PAIR] * 50 + [flipped] * 50, set())
         logz = log_partition(model, DET_PAIR)
         _, scores = enumerate_scores(model, DET_PAIR)
@@ -478,8 +478,7 @@ class TestTrain:
             train([], set())
 
     def test_large_configs_dropped(self):
-        big = LocalConfig("NOUN", "dobj",
-                          tuple([("ADJ", "amod")] * 6 + [("NOUN", "head")]))
+        big = LocalConfig(tuple([("ADJ", "amod")] * 6 + [("NOUN", "head")]))
         model = train([DET_PAIR] * 4 + [big], set())
         assert model.training_meta.dropped_configs == 1
         with pytest.raises(ValueError):
@@ -574,8 +573,7 @@ class TestInterpolate:
 class TestFreeness:
     def test_uniform_is_exactly_one(self, xx_train_trees):
         kept, _ = filter_for_generation(xx_train_trees)
-        assert freeness(uniform_model("u", "N"), uniform_model("u", "V"),
-                        kept) == 1.0
+        assert freeness(UNIFORM, OrderingModel("u", "V", {}), kept) == 1.0
 
     def test_trained_models_beat_uniform(self, xx_train_trees, xx_models):
         kept, _ = filter_for_generation(xx_train_trees)
@@ -598,7 +596,7 @@ class TestFreeness:
         from deporder.treebank import DepTree, Token
         tree = DepTree((Token(1, "it", "it", "PRON", head=0, deprel="root"),))
         with pytest.raises(ValueError):
-            freeness(uniform_model(), uniform_model(), [tree])
+            freeness(UNIFORM, UNIFORM, [tree])
 
 
 class TestModelFiles:
@@ -629,6 +627,10 @@ class TestModelFiles:
     def test_bad_weight_names_its_line(self, weight):
         with pytest.raises(ValueError, match="line 4"):
             model_from_text(f"#lang x\n#pos N\n#version 1\nA.BOS.BOS.X.head\t{weight}\n")
+
+    def test_repeated_feature_rejected(self):
+        with pytest.raises(ValueError, match="line 5: repeated feature 'L.ADJ'"):
+            model_from_text("#lang x\n#pos N\n#version 1\nL.ADJ\t1.0\nL.ADJ\t2.0\n")
 
     def test_scores_identical_after_round_trip(self, sov_v_model):
         again = model_from_text(model_to_text(sov_v_model))

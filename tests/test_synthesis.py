@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 
 from deporder import synthesis
-from deporder.model import (OrderingModel, enumerate_scores, load_model,
-                            log_partition, save_model, uniform_model)
-from deporder.synthesis import (DEFAULT_LAMBDA, LanguageSpec, RngStream,
+from deporder.model import OrderingModel, enumerate_scores, load_model, save_model
+from deporder.synthesis import (DEFAULT_LAMBDA, SPLITS, LanguageSpec, RngStream,
                                 SpecError, cross_product_specs,
                                 load_language_models, permute_tree,
                                 sample_ordering, synthesize_language)
 from deporder.treebank import (DepTree, LocalConfig, Token,
-                               filter_for_generation, is_projective,
-                               parse_conllu, validate_tree)
+                               filter_for_generation, generation_drop_reason,
+                               is_projective, parse_conllu, validate_tree)
 
-from conftest import UD_ROOT, chain_conllu, load_split
+from conftest import UD_ROOT, chain_conllu, load_split, log_partition
 
-DET_PAIR = LocalConfig("X", "dep", (("DET", "det"), ("X", "head")))
+DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
 DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0}, frozenset())
 
 
@@ -57,32 +56,44 @@ class TestLanguageSpec:
 
 class TestRngStream:
     def test_deterministic(self):
-        a = RngStream.for_sentence(0, "en~fr@N", "train", 7)
-        b = RngStream.for_sentence(0, "en~fr@N", "train", 7)
+        a = RngStream(0, "en~fr@N", "train", 7)
+        b = RngStream(0, "en~fr@N", "train", 7)
         assert [a.uniform() for _ in range(5)] == [b.uniform() for _ in range(5)]
 
     def test_distinct_keys_distinct_streams(self):
-        draws = {RngStream.for_sentence(0, "en~fr@N", split, k).uniform()
+        draws = {RngStream(0, "en~fr@N", split, k).uniform()
                  for split in ("train", "dev") for k in range(10)}
         assert len(draws) == 20
 
-    def test_key_reflects_derivation(self):
-        stream = RngStream.for_sentence(3, "xx", "dev", 2)
-        assert stream.key.split("\x1f") == ["3", "xx", "dev", "2"]
+    def test_key_reflects_derivation(self, fixture_model_dir, tmp_path, monkeypatch):
+        # each kept sentence's stream is keyed (seed, spec dirname, split,
+        # 0-based ordinal in the split, dropped sentences counted)
+        keys = []
+
+        class Recording(RngStream):
+            def __init__(self, *key_parts):
+                super().__init__(*key_parts)
+                keys.append(self.key.split("\x1f"))
+
+        monkeypatch.setattr(synthesis, "RngStream", Recording)
+        spec = LanguageSpec.parse("xx~sov@V", seed=3)
+        synthesize_language(spec, UD_ROOT / "xx", fixture_model_dir, tmp_path)
+        assert keys == [["3", "xx~sov@V", split, str(k)] for split in SPLITS
+                        for k, tree in enumerate(load_split("xx", split))
+                        if generation_drop_reason(tree) is None]
 
 
 class TestSampleOrdering:
     def test_single_element_skips_rng(self):
-        lone = LocalConfig("PRON", "nsubj", (("PRON", "head"),))
+        lone = LocalConfig((("PRON", "head"),))
         rng = RngStream("lone")
         fresh = RngStream("lone")
-        assert sample_ordering(uniform_model(), lone, rng) == (1,)
+        assert sample_ordering(OrderingModel("u", "N", {}), lone, rng) == (1,)
         assert rng.uniform() == fresh.uniform()  # no draw was consumed
 
     def test_uniform_frequencies(self):
-        config = LocalConfig("NOUN", "dobj",
-                             (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
-        model = uniform_model()
+        config = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
+        model = OrderingModel("u", "N", {})
         rng = RngStream("uniform-check")
         counts = Counter(sample_ordering(model, config, rng)
                          for _ in range(60_000))
@@ -98,14 +109,12 @@ class TestSampleOrdering:
         assert abs(hits / 10_000 - expected) < 0.01
 
     def test_size_cap(self):
-        big = LocalConfig("NOUN", "dobj",
-                          tuple([("ADJ", "amod")] * 7 + [("NOUN", "head")]))
+        big = LocalConfig(tuple([("ADJ", "amod")] * 7 + [("NOUN", "head")]))
         with pytest.raises(ValueError):
-            sample_ordering(uniform_model(), big, RngStream("big"))
+            sample_ordering(OrderingModel("u", "N", {}), big, RngStream("big"))
 
     def test_matches_enumerated_distribution(self):
-        config = LocalConfig("VERB", "root",
-                             (("NOUN", "nsubj"), ("VERB", "head"),
+        config = LocalConfig((("NOUN", "nsubj"), ("VERB", "head"),
                               ("NOUN", "dobj")))
         model = OrderingModel("t", "V",
                               {"L.NOUN.nsubj": 0.9, "A.VERB.head.EOS.EOS": -0.4},

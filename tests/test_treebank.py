@@ -257,8 +257,6 @@ class TestLocalConfigs:
         future = configs[8]
         assert future.elements == (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head"))
         assert future.n == 3
-        assert future.head_position == 3
-        assert future.head_relation_to_parent == "dobj"
 
     def test_fig1_brings(self, fig1_tree):
         configs = {c.source[1]: c for c in local_configs(fig1_tree, "V")}
@@ -279,7 +277,6 @@ class TestLocalConfigs:
                           (2, "dog", "NOUN", 0, "root")])
         config, = local_configs(tree, "N")
         assert config.elements == (("ADJ", "dep"), ("NOUN", "head"))
-        assert config.head_position == 2
 
     def test_childless_head(self):
         tree = make_tree([(1, "it", "PRON", 2, "nsubj"),
