@@ -3,31 +3,45 @@
 Learn log-linear models of how noun and verb dependents are ordered in real
 treebanks, use them to synthesize treebanks with resampled word order, and
 measure corpora with trigram language models.
+
+Public names load their module on first use, so code that only reads
+treebanks or language models never imports numpy.
 """
+
+import importlib
 
 __version__ = "1.6.0"
 
-from .treebank import (ConlluError, DepTree, FilterReport, LocalConfig, Token,
-                       filter_for_generation, is_projective, local_configs,
-                       parse_conllu, serialize_conllu, touched_fraction)
-from .features import ExtendedSequence, build_h_whitelist, extract
-from .sjt import sjt_enumerate
-from .model import (OrderingModel, TrainingMeta, freeness, interpolate,
-                    load_model, save_model, score, train)
-from .synthesis import (LanguageSpec, RngStream, SpecError,
-                        cross_product_specs, permute_tree, sample_ordering,
-                        synthesize_language)
-from .langmodel import (TrigramLM, load_lm, perplexity, save_lm,
-                        select_source, train_trigram)
+DEFAULT_SEED = 0
+DEFAULT_LAMBDA = 0.05
 
-__all__ = [
-    "ConlluError", "DepTree", "ExtendedSequence", "FilterReport",
-    "LanguageSpec", "LocalConfig", "OrderingModel", "RngStream",
-    "SpecError", "Token", "TrainingMeta", "TrigramLM", "build_h_whitelist",
-    "cross_product_specs", "extract", "filter_for_generation", "freeness",
-    "interpolate", "is_projective", "load_lm", "load_model",
-    "local_configs", "parse_conllu", "permute_tree", "perplexity",
-    "sample_ordering", "save_lm", "save_model", "score",
-    "serialize_conllu", "sjt_enumerate", "synthesize_language",
-    "touched_fraction", "train", "train_trigram",
-]
+
+class SpecError(ValueError):
+    """Invalid language spec string or missing model for a spec."""
+
+
+# the public names each submodule defines
+_EXPORTS = {
+    "treebank": "ConlluError DepTree FilterReport LocalConfig Token "
+                "filter_for_generation is_projective local_configs parse_conllu "
+                "serialize_conllu touched_fraction",
+    "features": "ExtendedSequence build_h_whitelist extract",
+    "sjt": "sjt_enumerate",
+    "model": "OrderingModel TrainingMeta freeness interpolate load_model "
+             "save_model score train",
+    "synthesis": "LanguageSpec RngStream cross_product_specs permute_tree "
+                 "sample_ordering synthesize_language",
+    "langmodel": "TrigramLM load_lm perplexity save_lm train_trigram",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = sorted([*_MODULE_OF, "SpecError"])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # `import deporder` then `deporder.model`
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

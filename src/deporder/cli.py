@@ -6,6 +6,10 @@ treebank statistics, train/evaluate trigram language models, pick a source
 language for a target corpus, and validate treebank directories.  All
 reports are tab-separated UTF-8 with a header row, and every subcommand is
 deterministic for fixed inputs and flags.
+
+Only `train`, `permute`, `batch` and `stats --models` train, score or sample
+ordering models, so only they import `model` and `synthesis`, and numpy with
+them; the other subcommands, `--help` and `--version` start without numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
                         select_source, tag_sequences, train_trigram,
                         word_sequences)
-from .model import freeness, save_model, train, usable_configs
-from .synthesis import (DEFAULT_LAMBDA, DEFAULT_SEED, LanguageSpec, SpecError,
-                        load_language_models, synthesize_language)
 from .treebank import (ConlluError, filter_for_generation, is_projective,
                        local_configs, parse_conllu, read_split,
                        serialize_conllu, touched_fraction, validate_tree)
@@ -51,6 +52,7 @@ environment:
 
 
 def cmd_train(args) -> int:
+    from .model import save_model, train, usable_configs
     treebank_dir = Path(args.treebank)
     language = args.lang or treebank_dir.name
     mode = "lenient" if args.lenient else "strict"
@@ -80,6 +82,7 @@ def cmd_train(args) -> int:
 
 def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
                     out: str, mode: str) -> Path:
+    from .synthesis import LanguageSpec, synthesize_language
     spec = LanguageSpec.parse(name, lam=lam, seed=seed)
     return synthesize_language(spec, Path(data) / spec.substrate, models, out,
                                mode)
@@ -115,6 +118,7 @@ def cmd_batch(args) -> int:
                                args.data, args.models, args.out, mode)
              for name in names]
     jobs = min(args.jobs, len(names))  # the pool forks every worker at its first submit
+    from . import synthesis  # noqa: F401  imported before the fork, the workers share it
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     failures = 0
     with pool or contextlib.nullcontext():
@@ -142,6 +146,8 @@ def cmd_stats(args) -> int:
     touched = touched_fraction(kept)
     r_value = "NA"
     if args.models:
+        from .model import freeness
+        from .synthesis import load_language_models
         model_n, model_v = load_language_models(args.models, language)
         dev_trees = read_split(treebank_dir, language, "dev", mode)
         dev_kept, _ = filter_for_generation(dev_trees)

@@ -18,24 +18,10 @@ def sjt_enumerate(n: int) -> Iterator[tuple[int, ...]]:
     """Yield all n! permutations of 1..n, starting from the identity."""
     if not 1 <= n <= MAX_N:
         raise ValueError(f"element count must be in 1..{MAX_N}, got {n}")
-    perm = list(range(1, n + 1))
-    direction = [-1] * n
-    yield tuple(perm)
-    while True:
-        mobile = -1
-        for i in range(n):
-            j = i + direction[i]
-            if 0 <= j < n and perm[j] < perm[i]:
-                if mobile < 0 or perm[i] > perm[mobile]:
-                    mobile = i
-        if mobile < 0:
-            return
-        i = mobile
-        j = i + direction[i]
-        perm[i], perm[j] = perm[j], perm[i]
-        direction[i], direction[j] = direction[j], direction[i]
-        moved = perm[j]
-        for k in range(n):
-            if perm[k] > moved:
-                direction[k] = -direction[k]
-        yield tuple(perm)
+    perms = [(1,)]
+    for m in range(2, n + 1):
+        # m sweeps right to left through orders 0, 2, 4, ... of 1..m-1 and
+        # left to right through orders 1, 3, 5, ...
+        perms = [perm[:i] + (m,) + perm[i:] for k, perm in enumerate(perms)
+                 for i in (range(m - 1, -1, -1) if k % 2 == 0 else range(m))]
+    yield from perms

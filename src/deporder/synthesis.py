@@ -19,21 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
 from .treebank import (DepTree, LocalConfig, Token, children_map,
                        generation_drop_reason, local_configs, read_split,
                        serialize_conllu)
 
-DEFAULT_SEED = 0
-DEFAULT_LAMBDA = 0.05
 SPLITS = ("train", "dev", "test")
 
 _LANG_ID = re.compile(r"^[A-Za-z0-9_]+$")
 _DEPS_ENTRY = re.compile(r"^(\d+):(.+)$")
-
-
-class SpecError(ValueError):
-    """Invalid language spec string or missing model for a spec."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,6 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     temporary file and `os.replace`: a directory without a manifest is
     incomplete.
     """
-    from . import __version__
     superstrates = (spec.superstrate_n, spec.superstrate_v)
     model_n = model_v = None
     if superstrates != (None, None):

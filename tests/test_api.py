@@ -3,7 +3,10 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import deporder
+from deporder import synthesis
 from deporder.treebank import DepTree
 
 from conftest import UD_ROOT
@@ -35,6 +38,22 @@ def test_every_public_name_resolves():
     missing = [name for name in deporder.__all__ if not hasattr(deporder, name)]
     assert not missing
     assert len(set(deporder.__all__)) == len(deporder.__all__)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from deporder import *", namespace)
+    assert [name for name in deporder.__all__ if name not in namespace] == []
+    assert namespace["train"] is deporder.model.train
+
+
+def test_spec_error_has_one_definition():
+    assert deporder.SpecError is synthesis.SpecError
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        deporder.no_such_name
 
 
 def test_readme_library_example_runs(monkeypatch):

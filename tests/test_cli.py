@@ -3,6 +3,9 @@ import concurrent.futures
 import filecmp
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,13 +114,14 @@ class TestTrainCommand:
 
     def test_untrainable_class_fits_nothing(self, tmp_path, capsys, monkeypatch):
         # V has nothing to train, so N must not be fitted first
-        fitted, real_train = [], cli.train
+        from deporder import model
+        fitted, real_train = [], model.train
 
         def recording_train(*args, **kwargs):
             fitted.append(kwargs["pos_class"])
             return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(model, "train", recording_train)
         (tmp_path / "lg").mkdir()
         (tmp_path / "lg" / "lg-ud-train.conllu").write_text(self.WIDE_VERB)
         code, _, _ = run(capsys, "train", "--treebank", str(tmp_path / "lg"),
@@ -615,3 +619,55 @@ class TestParser:
         ppl = parser.parse_args(["perplexity", "--eval", "x", "--train", "y"])
         assert ppl.oov_threshold == 10
         assert ppl.mode == "tag"
+
+
+SRC = Path(__file__).parents[1] / "src"
+SOV = UD_ROOT / "sov"
+
+# runs `deporder ARGS` in a fresh interpreter and reports the exit code and
+# whether numpy was imported
+NUMPY_PROBE = """import sys
+from deporder import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyOnlyWhereNeeded:
+    """Only the subcommands that train, score or sample import numpy."""
+
+    @pytest.fixture(scope="class")
+    def lm_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("probe-lms")
+        for lang in ("sov", "nadj"):
+            assert main(["perplexity",
+                         "--train", str(UD_ROOT / lang / f"{lang}-ud-train.conllu"),
+                         "--eval", str(UD_ROOT / lang / f"{lang}-ud-dev.conllu"),
+                         "--save-lm", str(out / f"{lang}.lm")]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        (["perplexity", "--train", str(SOV / "sov-ud-train.conllu"),
+          "--eval", str(SOV / "sov-ud-dev.conllu")], False),
+        (["perplexity", "--lm", "{lms}/sov.lm",
+          "--eval", str(SOV / "sov-ud-dev.conllu")], False),
+        (["select", "--target", str(SOV / "sov-ud-test.conllu"),
+          "--candidates", "{lms}/sov.lm", "{lms}/nadj.lm"], False),
+        (["validate", str(UD_ROOT / "xx")], False),
+        (["stats", "--treebank", str(UD_ROOT / "xx")], False),
+        (["--version"], False),
+        (["stats", "--treebank", str(SOV), "--models", "{models}"], True),
+        (["train", "--treebank", str(UD_ROOT / "xx"), "--out", "{tmp}"], True),
+    ], ids=["perplexity-train", "perplexity-lm", "select", "validate", "stats",
+            "version", "stats-models", "train"])
+    def test_numpy_imported(self, argv, loads_numpy, lm_dir, trained_dir, tmp_path):
+        argv = [arg.format(lms=lm_dir, models=trained_dir, tmp=tmp_path)
+                for arg in argv]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                                env=dict(os.environ, PYTHONPATH=path),
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}", result.stderr

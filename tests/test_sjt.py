@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,6 +13,13 @@ def test_single_element():
 def test_three_elements_order():
     assert list(sjt_enumerate(3)) == [(1, 2, 3), (1, 3, 2), (3, 1, 2),
                                       (3, 2, 1), (2, 3, 1), (2, 1, 3)]
+
+
+def test_seven_element_order_pinned():
+    # adjacency alone allows other orders; sampling accumulates in this one
+    perms = repr(list(sjt_enumerate(7))).encode()
+    assert hashlib.sha256(perms).hexdigest() == (
+        "a9b69a8546a0b336b152e1bcb91ab9f5905f148b35f707b6ab910fe13a90dd60")
 
 
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
