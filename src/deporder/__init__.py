@@ -10,7 +10,7 @@ treebanks or language models never imports numpy.
 
 import importlib
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 DEFAULT_SEED = 0
 DEFAULT_LAMBDA = 0.05
@@ -22,10 +22,10 @@ class SpecError(ValueError):
 
 # the public names each submodule defines
 _EXPORTS = {
-    "treebank": "ConlluError DepTree FilterReport LocalConfig Token "
+    "treebank": "ConlluError DepTree LocalConfig Token "
                 "filter_for_generation is_projective local_configs parse_conllu "
                 "serialize_conllu touched_fraction",
-    "features": "ExtendedSequence build_h_whitelist extract",
+    "features": "build_h_whitelist extract",
     "sjt": "sjt_enumerate",
     "model": "OrderingModel TrainingMeta freeness interpolate load_model "
              "save_model score train",

@@ -28,7 +28,7 @@ from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
                         word_sequences)
 from .treebank import (ConlluError, filter_for_generation, is_projective,
                        local_configs, parse_conllu, read_split,
-                       serialize_conllu, touched_fraction, validate_tree)
+                       serialize_conllu, touched_fraction)
 
 JOBS_ENV_VAR = "DEPORDER_JOBS"
 
@@ -140,7 +140,7 @@ def cmd_stats(args) -> int:
     language = args.lang or treebank_dir.name
     mode = "lenient" if args.lenient else "strict"
     trees = read_split(treebank_dir, language, "train", mode)
-    kept, _ = filter_for_generation(trees)
+    kept = filter_for_generation(trees)
     total_tokens = sum(len(t) for t in trees)
     kept_tokens = sum(len(t) for t in kept)
     touched = touched_fraction(kept)
@@ -150,7 +150,7 @@ def cmd_stats(args) -> int:
         from .synthesis import load_language_models
         model_n, model_v = load_language_models(args.models, language)
         dev_trees = read_split(treebank_dir, language, "dev", mode)
-        dev_kept, _ = filter_for_generation(dev_trees)
+        dev_kept = filter_for_generation(dev_trees)
         r_value = f"{freeness(model_n, model_v, dev_kept):.3f}"
     print("lang\tsents_kept\tsents\ttokens_kept\ttokens\tT\tR")
     print(f"{language}\t{len(kept)}\t{len(trees)}\t{kept_tokens}"
@@ -212,8 +212,6 @@ def cmd_validate(args) -> int:
         text = path.read_text(encoding="utf-8")
         try:
             trees = parse_conllu(text, "strict")
-            for tree in trees:
-                validate_tree(tree)
             reparsed = parse_conllu(serialize_conllu(trees), "strict")
             if reparsed != trees:
                 raise ValueError("serialize/parse round trip changed the trees")

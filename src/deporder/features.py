@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Iterable
 
@@ -53,39 +52,16 @@ def normalize_symbol(tag: str, relation: str) -> tuple[str, str]:
     return tag, relation
 
 
-@dataclass(frozen=True)
-class ExtendedSequence:
-    """Permuted elements with sentinels; slots[0] is BOS, slots[n+1] is EOS."""
+def observed_slots(config: LocalConfig) -> tuple[tuple[tuple[str, str], ...], int]:
+    """The observed order's slots, BOS first and EOS last, and the head's slot.
 
-    slots: tuple[tuple[str, str], ...]
-    head_slot: int
-
-    @property
-    def n(self) -> int:
-        return len(self.slots) - 2
-
-    @classmethod
-    def from_config(cls, config: LocalConfig, order: tuple[int, ...]) -> "ExtendedSequence":
-        n = config.n
-        if sorted(order) != list(range(1, n + 1)):
-            raise ValueError(f"order {order!r} is not a permutation of 1..{n}")
-        slots = [(BOS, BOS)]
-        head_slot = 0
-        for k, pos in enumerate(order, start=1):
-            tag, rel = normalize_symbol(*config.elements[pos - 1])
-            if rel == HEAD_RELATION:
-                if head_slot:
-                    raise ValueError("configuration has more than one head element")
-                head_slot = k
-            slots.append((tag, rel))
-        slots.append((EOS, EOS))
-        if not head_slot:
-            raise ValueError("configuration has no head element")
-        return cls(tuple(slots), head_slot)
-
-
-def identity_order(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+    Raises ValueError unless exactly one element carries the head relation.
+    """
+    slots = ((BOS, BOS), *(normalize_symbol(*e) for e in config.elements), (EOS, EOS))
+    heads = [k for k, (_, rel) in enumerate(slots) if rel == HEAD_RELATION]
+    if len(heads) != 1:
+        raise ValueError(f"configuration has {len(heads)} head elements, not one")
+    return slots, heads[0]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -121,9 +97,12 @@ def extract(config: LocalConfig, order: tuple[int, ...],
     `whitelist` restricts H features to the given names; None keeps all.
     Counts accumulate when the same name fires for several pairs.
     """
-    seq = ExtendedSequence.from_config(config, order)
-    slots, head_slot = seq.slots, seq.head_slot
-    top = seq.n + 1
+    observed, head = observed_slots(config)
+    top = config.n + 1
+    if sorted(order) != list(range(1, top)):
+        raise ValueError(f"order {order!r} is not a permutation of 1..{config.n}")
+    slots = (observed[0], *(observed[pos] for pos in order), observed[top])
+    head_slot = order.index(head) + 1
     counts: Counter = Counter()
     for i in range(top):
         for j in range(i + 1, top + 1):
@@ -145,7 +124,7 @@ def build_h_whitelist(configs: Iterable[LocalConfig]) -> set[str]:
     """
     counts: Counter = Counter()
     for config in configs:
-        slots = ExtendedSequence.from_config(config, identity_order(config.n)).slots
+        slots = observed_slots(config)[0]
         for i in range(len(slots)):
             for j in range(i + H_MIN_SPAN, min(i + H_MAX_SPAN + 1, len(slots))):
                 counts[span_name(slots[i:j + 1])] += 1

@@ -27,7 +27,6 @@ from typing import AbstractSet, Iterable, Sequence
 import numpy as np
 
 from . import features
-from .features import ExtendedSequence, identity_order
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
                        local_configs)
@@ -169,8 +168,8 @@ def _states(config: LocalConfig):
     digits, the first lowest, in base `_BASE`.
     """
     orders, codes, pairs, windows, row_of = _sjt_table(config.n)
-    seq = ExtendedSequence.from_config(config, identity_order(config.n))
-    symbols, head = list(seq.slots), seq.head_slot
+    slots, head = features.observed_slots(config)
+    symbols = list(slots)
     symbols[1], symbols[head] = symbols[head], symbols[1]  # the table's head is element 1
     digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
     return (orders, codes, row_of[head - 1],
@@ -199,10 +198,11 @@ def _window_names(whitelist: AbstractSet[str]) -> dict[int, str]:
 
 
 def enumerate_scores(model: OrderingModel, config: LocalConfig
-                     ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+                     ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """All n! orderings in SJT order with their scores.
 
     The first ordering is the identity (the configuration's observed order).
+    The orderings are `_sjt_table`'s own tuple, shared by every call for n.
     """
     orders, codes, rows, pair_states, pair_keys, window_states, window_codes = _states(config)
     if model._lookup is None:  # built once per model, then kept on it
@@ -223,7 +223,7 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     scores = np.empty(len(codes))  # each table row's summed state weights
     for k in range(0, len(codes), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return list(orders), scores[rows]
+    return orders, scores[rows]
 
 
 def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:

@@ -1,4 +1,4 @@
-"""CoNLL-U treebanks: parsing, validation, filtering, and local head+dependent configurations.
+"""CoNLL-U treebanks: parsing, filtering, and local head+dependent configurations.
 
 A treebank file holds blank-line-separated sentence blocks.  Each block is a
 sequence of "# "-prefixed comment lines followed by 10-column tab-separated
@@ -116,15 +116,6 @@ class LocalConfig:
     @property
     def n(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class FilterReport:
-    """Ids of sentences dropped by `filter_for_generation`, per reason."""
-
-    kept: int
-    nonprojective: tuple[str, ...]
-    fanout: tuple[str, ...]
 
 
 def _parse_token(fields: list[str], lineno: int) -> Token:
@@ -266,21 +257,6 @@ def serialize_conllu(trees: list[DepTree]) -> str:
     return "".join(b + "\n" for b in blocks)
 
 
-def validate_tree(tree: DepTree) -> None:
-    """Raise ValueError if the tree violates structural invariants."""
-    if not tree.tokens:
-        raise ValueError(f"tree {tree.source_id!r} is empty")
-    for pos, tok in enumerate(tree.tokens, start=1):
-        if tok.index != pos:
-            raise ValueError(f"tree {tree.source_id!r}: token id {tok.index} at position {pos}")
-        if tok.head == tok.index:
-            raise ValueError(f"tree {tree.source_id!r}: token {tok.index} is its own head")
-    try:
-        _check_tree_structure(list(tree.tokens), 0)
-    except ConlluError as exc:
-        raise ValueError(f"tree {tree.source_id!r}: {exc}") from None
-
-
 def children_map(tree: DepTree) -> dict[int, list[Token]]:
     """Map from head index (0 for the virtual root) to dependents in surface order."""
     out: dict[int, list[Token]] = {}
@@ -326,20 +302,9 @@ def generation_drop_reason(tree: DepTree) -> str | None:
     return None
 
 
-def filter_for_generation(trees: list[DepTree]) -> tuple[list[DepTree], FilterReport]:
-    """Keep trees that are projective and free of nodes with 7+ dependents."""
-    kept: list[DepTree] = []
-    nonproj: list[str] = []
-    fanout: list[str] = []
-    for tree in trees:
-        reason = generation_drop_reason(tree)
-        if reason is None:
-            kept.append(tree)
-        elif reason == "nonprojective":
-            nonproj.append(tree.source_id)
-        else:
-            fanout.append(tree.source_id)
-    return kept, FilterReport(len(kept), tuple(nonproj), tuple(fanout))
+def filter_for_generation(trees: list[DepTree]) -> list[DepTree]:
+    """The trees that are projective and free of nodes with 7+ dependents."""
+    return [tree for tree in trees if generation_drop_reason(tree) is None]
 
 
 def local_configs(tree: DepTree, pos_class: str) -> list[LocalConfig]:

@@ -238,7 +238,7 @@ def test_criterion_08_synthesis_invariants(fixture_model_dir, tmp_path):
 
 
 def test_criterion_09_freeness_uniform():
-    kept, _ = filter_for_generation(load_split("xx"))
+    kept = filter_for_generation(load_split("xx"))
     value = freeness(OrderingModel("u", "N", {}), OrderingModel("u", "V", {}), kept)
     assert value == 1.0
     announce(9, "uniform model freeness is exactly 1.0")
@@ -264,13 +264,13 @@ def test_criterion_09_freeness_real_data(lang, expected_r, expected_t):
         configs = [c for t in projective for c in local_configs(t, pos_class)]
         models[pos_class] = train(configs, None, language=lang,
                                   pos_class=pos_class)
-    kept, _ = filter_for_generation(trees)
+    kept = filter_for_generation(trees)
     touched = 100.0 * touched_fraction(kept)
     assert abs(touched - expected_t) <= 2.0
     dev = parse_conllu(
         (root / f"{lang}-ud-dev.conllu").read_text(encoding="utf-8"),
         "lenient")
-    dev_kept, _ = filter_for_generation(dev)
+    dev_kept = filter_for_generation(dev)
     value = freeness(models["N"], models["V"], dev_kept)
     assert abs(value - expected_r) <= 0.05
     announce(9, f"{lang}: R={value:.2f}, T={touched:.1f}%")

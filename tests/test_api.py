@@ -15,13 +15,12 @@ README = Path(__file__).parents[1] / "README.md"
 
 
 PUBLIC_NAMES = [
-    "ConlluError", "DepTree", "ExtendedSequence", "FilterReport",
-    "LanguageSpec", "LocalConfig", "OrderingModel", "RngStream",
-    "SpecError", "Token", "TrainingMeta", "TrigramLM", "build_h_whitelist",
-    "cross_product_specs", "extract", "filter_for_generation", "freeness",
-    "interpolate", "is_projective", "load_lm", "load_model",
-    "local_configs", "parse_conllu", "permute_tree", "perplexity",
-    "sample_ordering", "save_lm", "save_model", "score",
+    "ConlluError", "DepTree", "LanguageSpec", "LocalConfig", "OrderingModel",
+    "RngStream", "SpecError", "Token", "TrainingMeta", "TrigramLM",
+    "build_h_whitelist", "cross_product_specs", "extract",
+    "filter_for_generation", "freeness", "interpolate", "is_projective",
+    "load_lm", "load_model", "local_configs", "parse_conllu", "permute_tree",
+    "perplexity", "sample_ordering", "save_lm", "save_model", "score",
     "serialize_conllu", "sjt_enumerate", "synthesize_language",
     "touched_fraction", "train", "train_trigram",
 ]

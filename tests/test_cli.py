@@ -581,6 +581,31 @@ class TestValidateCommand:
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == EXIT_MISSING_INPUT
 
+    # one valid sentence (lines 1-2), then a faulty one from line 3; the
+    # message names the faulty token's line, or a structural fault's first
+    @pytest.mark.parametrize("rows, line, message", [
+        ([(1, "NOUN", 1, "root")], 3, "token 1 is its own head"),
+        ([(1, "NOUN", 0, "root"), (2, "NOUN", 0, "root")], 3,
+         "expected exactly one root, found 2"),
+        ([(1, "VERB", 0, "root"), (2, "NOUN", 3, "nmod"), (3, "NOUN", 2, "nmod")], 3,
+         "head indices contain a cycle"),
+        ([(1, "VERB", 0, "root"), (3, "NOUN", 1, "nsubj")], 4,
+         "token id 3 out of sequence"),
+        ([(1, "VERB", 0, "root"), (2, "NOUN", 5, "nsubj")], 3,
+         "head 5 of token 2 out of range"),
+        ([(1, "BLORP", 0, "root")], 3, "unknown POS tag 'BLORP'"),
+    ], ids=["self-headed", "two-roots", "cycle", "id-out-of-sequence",
+            "head-out-of-range", "unknown-tag"])
+    def test_tree_fault(self, tmp_path, capsys, rows, line, message):
+        sentence = "".join(f"{index}\tw\tw\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n"
+                           for index, upos, head, rel in rows)
+        (tmp_path / "bad.conllu").write_text(
+            "1\tok\tok\tNOUN\t_\t_\t0\troot\t_\t_\n\n" + sentence + "\n")
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == EXIT_BAD_DATA
+        assert out == ""
+        assert err.splitlines() == [f"FAIL\tbad.conllu\tline {line}: {message}"]
+
 
 class TestParser:
     def test_usage_error_exit_code(self, capsys):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deporder.features import (ExtendedSequence, build_h_whitelist, extract,
-                               identity_order, span_name, symbol_pair_groups)
+from deporder.features import (build_h_whitelist, extract, observed_slots,
+                               span_name, symbol_pair_groups)
 from deporder.treebank import LocalConfig
 
 SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
-SUBTREE_SEQ = ExtendedSequence.from_config(SUBTREE, (1, 2, 3))
+SUBTREE_SLOTS, SUBTREE_HEAD = observed_slots(SUBTREE)
 
 # every feature the worked determiner-adjective-noun subtree fires in its
 # observed order, derived by hand from the template definitions
@@ -42,35 +42,42 @@ def random_config(rnd, n):
     return LocalConfig(elements)
 
 
-def slot_pair_groups(seq, i, j):
+def permuted_slots(config, order):
+    """The slots of `config` in `order`, sentinels included, and the head's slot."""
+    slots, head = observed_slots(config)
+    return (slots[0], *(slots[pos] for pos in order), slots[-1]), order.index(head) + 1
+
+
+def slot_pair_groups(slots, head_slot, i, j):
     """The feature-name groups fired by the slot pair (i, j), i < j."""
-    dclass = 1 - (j < seq.head_slot) + (i > seq.head_slot)
-    return symbol_pair_groups(seq.slots[i], seq.slots[j], dclass, j == i + 1)
+    dclass = 1 - (j < head_slot) + (i > head_slot)
+    return symbol_pair_groups(slots[i], slots[j], dclass, j == i + 1)
 
 
-def pair_names(seq, i, j):
-    """All non-H feature names fired by the slot pair (i, j), i < j."""
-    return {name for group in slot_pair_groups(seq, i, j) for name in group}
+def pair_names(i, j):
+    """All non-H feature names fired by SUBTREE's slot pair (i, j), i < j."""
+    return {name for group in slot_pair_groups(SUBTREE_SLOTS, SUBTREE_HEAD, i, j)
+            for name in group}
 
 
 class TestPairFeatures:
     def test_head_direction_pair(self):
-        assert pair_names(SUBTREE_SEQ, 1, 3) == {"L.DET.det", "L.DET", "L.det"}
+        assert pair_names(1, 3) == {"L.DET.det", "L.DET", "L.det"}
 
     def test_sibling_positional_adjacency_pair(self):
-        assert pair_names(SUBTREE_SEQ, 1, 2) == {
+        assert pair_names(1, 2) == {
             "L.DET.det.ADJ.amod", "L.DET.ADJ", "L.det.amod",
             "l.DET.det.ADJ.amod", "l.DET.ADJ", "l.det.amod",
             "A.DET.det.ADJ.amod", "A.DET.ADJ", "A.det.amod",
         }
 
     def test_head_to_eos_pair(self):
-        assert pair_names(SUBTREE_SEQ, 3, 4) == {
+        assert pair_names(3, 4) == {
             "A.NOUN.head.EOS.EOS", "A.NOUN.EOS", "A.head.EOS"}
 
     def test_sentinel_left_of_head_fires_nothing_directional(self):
         # BOS left of the head is not a real node, so no L features
-        assert pair_names(SUBTREE_SEQ, 0, 3) == set()
+        assert pair_names(0, 3) == set()
 
     def test_positional_direction_classes(self):
         config = LocalConfig((("NOUN", "nsubj"), ("NOUN", "head"),
@@ -85,15 +92,15 @@ class TestPairFeatures:
 
 class TestHgramFeatures:
     def test_three_slot_span_with_bos(self):
-        assert span_name(SUBTREE_SEQ.slots[0:3]) == "H.BOS.BOS.DET.det.ADJ.amod"
+        assert span_name(SUBTREE_SLOTS[0:3]) == "H.BOS.BOS.DET.det.ADJ.amod"
 
     def test_three_slot_span_inner(self):
-        assert span_name(SUBTREE_SEQ.slots[1:4]) == "H.DET.det.ADJ.amod.NOUN.head"
+        assert span_name(SUBTREE_SLOTS[1:4]) == "H.DET.det.ADJ.amod.NOUN.head"
 
     def test_span_length_bound(self):
         config = LocalConfig((("DET", "det"), ("ADJ", "amod"),
                               ("ADJ", "amod"), ("NOUN", "head")))
-        slots = ExtendedSequence.from_config(config, (1, 2, 3, 4)).slots
+        slots = observed_slots(config)[0]
         fired = extract(config, (1, 2, 3, 4))
         assert span_name(slots[0:6]) not in fired  # six slots is past the limit
         assert span_name(slots[0:5]) in fired
@@ -152,9 +159,14 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract(SUBTREE, (1, 1, 2))
 
+    @pytest.mark.parametrize("order", [(1, 2), (1, 2, 3, 4), (0, 1, 2), (2, 3, 4)])
+    def test_order_not_a_permutation_rejected(self, order):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+            extract(SUBTREE, order)
+
     def test_headless_config_rejected(self):
         bad = LocalConfig((("DET", "det"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 head elements"):
             extract(bad, (1,))
 
 
@@ -166,18 +178,18 @@ class TestTemplateInvariants:
         rnd = random.Random(seed)
         config = random_config(rnd, n)
         order = tuple(rnd.sample(range(1, n + 1), n))
-        seq = ExtendedSequence.from_config(config, order)
+        slots, head_slot = permuted_slots(config, order)
         counts = extract(config, order)
 
-        left_of_head = seq.head_slot - 1
-        left_names = {f"L.{t}.{r}" for slot, (t, r) in enumerate(seq.slots)
-                      if 1 <= slot < seq.head_slot}
+        left_of_head = head_slot - 1
+        left_names = {f"L.{t}.{r}" for slot, (t, r) in enumerate(slots)
+                      if 1 <= slot < head_slot}
         assert sum(counts[name] for name in left_names) == left_of_head
 
         # every full non-H name has both backoffs, counted at least as often
-        for i in range(seq.n + 1):
-            for j in range(i + 1, seq.n + 2):
-                for group in slot_pair_groups(seq, i, j):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 2):
+                for group in slot_pair_groups(slots, head_slot, i, j):
                     full, tag_backoff, rel_backoff = group
                     assert counts[tag_backoff] >= counts[full] >= 1
                     assert counts[rel_backoff] >= counts[full]
@@ -222,7 +234,7 @@ class TestWhitelist:
         counter = collections.Counter()
         for c in configs:  # the H names of the observed order, with their counts
             counter.update({name: count for name, count
-                            in extract(c, identity_order(c.n)).items()
+                            in extract(c, tuple(range(1, c.n + 1))).items()
                             if name.startswith("H.")})
         keep = _math.ceil(0.10 * len(counter))
         expected = {name for name, _ in

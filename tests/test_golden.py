@@ -47,11 +47,11 @@ LM_DIGESTS = {
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "1ae6846830e6f1fc2f21f75121107757d9f8c1895d4af3472ef5a201a58bb18a",
+        "9827e638aaeaf3035c7dcf3e0fe0c73ec4f0def68c02b2f63dfedf9da32c570e",
     "xx~nadj@N~sov@V":
-        "56a61578005d6031dafdbb74b38c48d27f38494a36f10c00e42942dfc047b825",
+        "cb9c67d039eb4b5c228cefdf109bcad1511e6c923dd5b4880c1da8e155947f70",
     "nadj~sov@V":
-        "5c060e885ec5cac4a681342601a9f3428190a94ecf8fb570189455472dd51f66",
+        "a437e2fbe18e4086b2f6ceead1655208f1fa17300c424c4b5a5a06372dc13f65",
 }
 
 

@@ -151,7 +151,7 @@ def name_table_scores(model, config):
     scores = np.empty(codes.shape[1])
     for k in range(0, len(scores), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[0, k:k + GATHER_ROWS]].sum(axis=1)
-    return list(sjt_enumerate(config.n)), scores
+    return tuple(sjt_enumerate(config.n)), scores
 
 
 def whitelist_models(rnd, config):
@@ -194,7 +194,7 @@ class TestSymbolCodedScores:
         rnd = random.Random(89)
         blended = interpolate(sov_n_model, xx_models[0])
         trees = load_split("xx", "dev") + load_split("xx", "test")
-        configs = [c for t in filter_for_generation(trees)[0]
+        configs = [c for t in filter_for_generation(trees)
                    for pos_class in ("N", "V") for c in local_configs(t, pos_class)]
         configs += [random_config(rnd, n) for n in (5, 6, 7) for _ in range(2)]
         for model in (blended, xx_models[1]):
@@ -207,7 +207,7 @@ class TestSymbolCodedScores:
         def refuse(*args):
             raise AssertionError("a window name was built")
 
-        kept, _ = filter_for_generation(xx_train_trees)
+        kept = filter_for_generation(xx_train_trees)
         configs = [c for t in kept for c in local_configs(t, "N")]
         usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
         whitelist = xx_models[0].h_whitelist
@@ -425,6 +425,22 @@ class TestPartition:
         with pytest.raises(ValueError):
             enumerate_scores(UNIFORM, big)
 
+    # local_configs gives every configuration one head; only a hand-built
+    # one can have none or two
+    @pytest.mark.parametrize("config", [
+        LocalConfig((("DET", "det"), ("ADJ", "amod"))),
+        LocalConfig((("NOUN", "head"), ("ADJ", "amod"), ("NOUN", "head"))),
+    ], ids=["no-head", "two-heads"])
+    @pytest.mark.parametrize("call", [
+        features.observed_slots,
+        lambda config: enumerate_scores(UNIFORM, config),
+        lambda config: train([config]),
+        lambda config: train([config], whitelist=frozenset()),
+    ], ids=["observed_slots", "enumerate_scores", "train", "train-given-whitelist"])
+    def test_head_count_other_than_one_rejected(self, config, call):
+        with pytest.raises(ValueError, match="head elements, not one"):
+            call(config)
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
@@ -572,11 +588,11 @@ class TestInterpolate:
 
 class TestFreeness:
     def test_uniform_is_exactly_one(self, xx_train_trees):
-        kept, _ = filter_for_generation(xx_train_trees)
+        kept = filter_for_generation(xx_train_trees)
         assert freeness(UNIFORM, OrderingModel("u", "V", {}), kept) == 1.0
 
     def test_trained_models_beat_uniform(self, xx_train_trees, xx_models):
-        kept, _ = filter_for_generation(xx_train_trees)
+        kept = filter_for_generation(xx_train_trees)
         model_n, model_v = xx_models
         r = freeness(model_n, model_v, kept)
         assert 0.0 <= r < 1.0
@@ -587,7 +603,7 @@ class TestFreeness:
         assert r < 0.1  # the corpus is deterministic, so the fit is near perfect
 
     def test_invariant_under_tree_order(self, xx_train_trees, xx_models):
-        kept, _ = filter_for_generation(xx_train_trees)
+        kept = filter_for_generation(xx_train_trees)
         model_n, model_v = xx_models
         assert freeness(model_n, model_v, kept) \
             == freeness(model_n, model_v, list(reversed(kept)))

@@ -8,8 +8,7 @@ from deporder.treebank import (ConlluError, DepTree, Token, UPOS_TAGS,
                                children_map, filter_for_generation,
                                generation_drop_reason, is_projective,
                                local_configs, max_fanout, parse_conllu,
-                               serialize_conllu, touched_fraction,
-                               validate_tree)
+                               serialize_conllu, touched_fraction)
 
 from conftest import FIXTURES, UD_ROOT, read_trees
 
@@ -227,28 +226,28 @@ class TestFilter:
         return make_tree(rows, source_id="fan")
 
     def test_boundary_below_limit_kept(self):
-        kept, report = filter_for_generation([self.fan_tree(6)])
-        assert report.kept == 1 and not report.fanout
+        tree = self.fan_tree(6)
+        assert generation_drop_reason(tree) is None
+        assert filter_for_generation([tree]) == [tree]
 
     def test_boundary_at_limit_dropped(self):
-        assert max_fanout(self.fan_tree(7)) == 8
-        kept, report = filter_for_generation([self.fan_tree(7)])
-        assert kept == [] and report.fanout == ("fan",)
+        tree = self.fan_tree(7)
+        assert max_fanout(tree) == 8
+        assert generation_drop_reason(tree) == "fanout"
+        assert filter_for_generation([tree]) == []
 
     def test_nonprojective_reason(self):
         bad = make_tree([(1, "a", "NOUN", 3, "dobj"),
                          (2, "b", "VERB", 0, "root"),
                          (3, "c", "VERB", 2, "ccomp"),
                          (4, "d", "ADV", 2, "advmod")], source_id="np")
-        kept, report = filter_for_generation([bad])
-        assert report.nonprojective == ("np",)
+        assert filter_for_generation([bad]) == []
         assert generation_drop_reason(bad) == "nonprojective"
 
     def test_idempotent(self, xx_train_trees):
-        kept, _ = filter_for_generation(xx_train_trees)
-        again, report = filter_for_generation(kept)
-        assert again == kept
-        assert not report.nonprojective and not report.fanout
+        kept = filter_for_generation(xx_train_trees)
+        assert filter_for_generation(kept) == kept
+        assert all(generation_drop_reason(tree) is None for tree in kept)
 
 
 class TestLocalConfigs:
@@ -347,7 +346,6 @@ class TestRoundTripProperty:
     @settings(max_examples=120, deadline=None)
     @given(dep_trees())
     def test_serialize_then_parse_identity(self, tree):
-        validate_tree(tree)
         parsed = parse_conllu(serialize_conllu([tree]), "strict")
         assert len(parsed) == 1
         assert parsed[0].tokens == tree.tokens
