@@ -18,6 +18,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -81,11 +82,25 @@ def cmd_train(args) -> int:
 
 
 def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
-                    out: str, mode: str) -> Path:
+                    out: str, mode: str, cache: dict | None = None) -> Path:
     from .synthesis import LanguageSpec, synthesize_language
     spec = LanguageSpec.parse(name, lam=lam, seed=seed)
     return synthesize_language(spec, Path(data) / spec.substrate, models, out,
-                               mode)
+                               mode, cache)
+
+
+def _synthesize_task(names: list[str], *options) -> list[str]:
+    """One `batch` task: each spec's report line, "done\t<dirname>" or
+    "failed\t<name>\t<error>".  The specs share one synthesis cache, which
+    goes when the task returns."""
+    cache: dict = {}
+    lines = []
+    for name in names:
+        try:
+            lines.append(f"done\t{_synthesize_one(name, *options, cache).name}")
+        except (OSError, ValueError) as exc:
+            lines.append(f"failed\t{name}\t{exc}")
+    return lines
 
 
 def cmd_permute(args) -> int:
@@ -114,10 +129,17 @@ def cmd_batch(args) -> int:
     names = list(dict.fromkeys(
         line for line in lines if line and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
-    calls = [functools.partial(_synthesize_one, name, args.lam, args.seed,
+    # a task is a run of consecutive specs with one substrate, which share
+    # its inputs; cutting runs at ceil(specs / jobs) keeps every worker busy
+    size = -(-len(names) // args.jobs)
+    tasks = []
+    for _, run in itertools.groupby(names, lambda name: name.split("~")[0]):
+        run = list(run)
+        tasks += (run[k:k + size] for k in range(0, len(run), size))
+    calls = [functools.partial(_synthesize_task, task, args.lam, args.seed,
                                args.data, args.models, args.out, mode)
-             for name in names]
-    jobs = min(args.jobs, len(names))  # the pool forks every worker at its first submit
+             for task in tasks]
+    jobs = min(args.jobs, len(tasks))  # the pool forks every worker at its first submit
     from . import synthesis  # noqa: F401  imported before the fork, the workers share it
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     failures = 0
@@ -126,12 +148,15 @@ def cmd_batch(args) -> int:
             calls = [_queue(pool, call) for call in calls]
         # outcomes are reported in spec-list order whatever finishes first;
         # a worker that dies breaks the pool and fails every unfinished spec
-        for name, call in zip(names, calls):
+        for task, call in zip(tasks, calls):
             try:
-                print(f"done\t{call().name}")
-            except (OSError, ValueError, concurrent.futures.BrokenExecutor) as exc:
-                failures += 1
-                print(f"failed\t{name}\t{exc}", file=sys.stderr)
+                reports = call()
+            except concurrent.futures.BrokenExecutor as exc:
+                reports = [f"failed\t{name}\t{exc}" for name in task]
+            for report in reports:
+                failed = report.startswith("failed\t")
+                failures += failed
+                print(report, file=sys.stderr if failed else sys.stdout)
     return EXIT_BAD_DATA if failures else EXIT_OK
 
 

@@ -39,6 +39,7 @@ GRAD_TOLERANCE = 1e-6  # training stops once the gradient's inf-norm is this sma
 MAX_ITERATIONS = 1000
 HISTORY = 10  # curvature pairs kept by L-BFGS
 GATHER_ROWS = 512  # orderings whose state weights are gathered at once
+MEMO_MAX_N = 5  # largest configuration whose scores a model keeps
 
 
 @dataclass
@@ -65,7 +66,8 @@ class OrderingModel:
 
     Features absent from `weights` have weight 0.  H features outside
     `h_whitelist` never fire.  Neither may change once `enumerate_scores`
-    has kept the model's weights by symbol code in `_lookup`.
+    has kept the model's weights by symbol code, and its scores of heads of
+    up to `MEMO_MAX_N` elements by observed slots, in `_lookup`.
     """
 
     language: str
@@ -156,9 +158,9 @@ def _sjt_table(n: int):
     return orders, number[codes], pairs, windows, row_of
 
 
-def _states(config: LocalConfig):
-    """`config`'s orderings as rows of `_sjt_table` states, with the states'
-    symbol codes.
+def _states(slots: tuple[tuple[str, str], ...], head: int):
+    """A configuration's orderings, given `features.observed_slots` of it, as
+    rows of `_sjt_table` states, with the states' symbol codes.
 
     Returns (orders, codes, rows, pair_states, pair_keys, window_states,
     window_codes).  Ordering k of `orders` is row `rows[k]` of `codes`.  Pair
@@ -167,8 +169,7 @@ def _states(config: LocalConfig):
     Window state `window_states[m]` has code `window_codes[m]`: its symbols'
     digits, the first lowest, in base `_BASE`.
     """
-    orders, codes, pairs, windows, row_of = _sjt_table(config.n)
-    slots, head = features.observed_slots(config)
+    orders, codes, pairs, windows, row_of = _sjt_table(len(slots) - 2)
     symbols = list(slots)
     symbols[1], symbols[head] = symbols[head], symbols[1]  # the table's head is element 1
     digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
@@ -203,14 +204,21 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
 
     The first ordering is the identity (the configuration's observed order).
     The orderings are `_sjt_table`'s own tuple, shared by every call for n.
+    The scores are read-only: a configuration of at most `MEMO_MAX_N`
+    elements gets the very array the model's first call for its observed
+    slots computed.
     """
-    orders, codes, rows, pair_states, pair_keys, window_states, window_codes = _states(config)
+    slots, head = features.observed_slots(config)
     if model._lookup is None:  # built once per model, then kept on it
         coded = {code: model.weights.get(name, 0.0)
                  for code, name in _window_names(model.h_whitelist).items()}
         coded[np.iinfo(np.int64).max] = 0.0  # past every window code
-        model._lookup = ({}, *map(np.array, zip(*sorted(coded.items()))))
-    pair_weight, index, window_weight = model._lookup
+        model._lookup = ({}, *map(np.array, zip(*sorted(coded.items()))), {})
+    pair_weight, index, window_weight, memo = model._lookup
+    if slots in memo:
+        return memo[slots]
+    orders, codes, rows, pair_states, pair_keys, window_states, window_codes = \
+        _states(slots, head)
     keys = pair_keys.tolist()
     for key in set(keys).difference(pair_weight):  # names summed in firing order
         pair_weight[key] = 0.0
@@ -223,7 +231,11 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     scores = np.empty(len(codes))  # each table row's summed state weights
     for k in range(0, len(codes), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return orders, scores[rows]
+    scores = scores[rows]
+    scores.flags.writeable = False
+    if config.n <= MEMO_MAX_N:
+        memo[slots] = orders, scores
+    return orders, scores
 
 
 def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
@@ -266,7 +278,7 @@ class _CompiledCorpus:
             codes, owners, ids = [], [], []
             for i, (config, _) in enumerate(part):
                 _, table, rows, pair_states, pair_keys, window_states, window_codes = \
-                    _states(config)
+                    _states(*features.observed_slots(config))
                 fired: list = [()] * (len(pair_states) + len(window_states))
                 for state, key in zip(pair_states.tolist(), pair_keys.tolist()):
                     fired[state] = _pair_names(key)

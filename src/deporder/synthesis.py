@@ -14,7 +14,7 @@ import hashlib
 import os
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +134,16 @@ def _remap_deps(deps: str, index_map: dict[int, int]) -> str:
     return "|".join(out)
 
 
+def _prepare(tree: DepTree) -> tuple:
+    """(tree, its generation drop reason, and if kept its dependents by head
+    and its N and V configurations): what permuting it reads, whatever the models."""
+    reason = generation_drop_reason(tree)
+    if reason is not None:
+        return tree, reason, None, ()
+    return tree, None, children_map(tree), (local_configs(tree, "N"),
+                                            local_configs(tree, "V"))
+
+
 def permute_tree(tree: DepTree, model_n: OrderingModel | None,
                  model_v: OrderingModel | None, rng: RngStream) -> DepTree:
     """Resample dependent order at every noun/verb head of a filtered tree.
@@ -146,15 +156,20 @@ def permute_tree(tree: DepTree, model_n: OrderingModel | None,
     class in its original order.  Multiword range lines do not survive
     reordering and are dropped.
     """
-    reason = generation_drop_reason(tree)
+    return _permute(_prepare(tree), model_n, model_v, rng)
+
+
+def _permute(prepared: tuple, model_n: OrderingModel | None,
+             model_v: OrderingModel | None, rng: RngStream) -> DepTree:
+    """`permute_tree` of the tree that `_prepare` gave `prepared` for."""
+    tree, reason, dependents, configs = prepared
     if reason is not None:
         raise ValueError(f"tree {tree.source_id!r} not eligible for generation "
                          f"({reason})")
-    dependents = children_map(tree)
     sampled = {config.source[1]: (model, config)
-               for pos_class, model in (("N", model_n), ("V", model_v))
+               for model, class_configs in zip((model_n, model_v), configs)
                if model is not None
-               for config in local_configs(tree, pos_class)}
+               for config in class_configs}
     # explicit stacks rather than recursion, so a tree of any depth fits
     plans: dict[int, list[Token]] = {}  # each head's units in output order
     heads = [tree.root]
@@ -182,11 +197,10 @@ def permute_tree(tree: DepTree, model_n: OrderingModel | None,
     for new_index, tok in enumerate(linearized, start=1):
         index_map[tok.index] = new_index
     tokens = tuple(
-        replace(tok,
-                index=index_map[tok.index],
-                head=index_map[tok.head],
-                deps=_remap_deps(tok.deps, index_map),
-                misc=_append_misc(tok.misc, "OrigIdx", tok.index))
+        Token(index_map[tok.index], tok.form, tok.lemma, tok.upos, tok.xpos,
+              tok.feats, index_map[tok.head], tok.deprel,
+              _remap_deps(tok.deps, index_map),
+              _append_misc(tok.misc, "OrigIdx", tok.index))
         for tok in linearized)
     return DepTree(tokens, tree.comments, (), tree.source_id)
 
@@ -207,9 +221,16 @@ def load_language_models(model_dir: str | Path, language: str
     return models[0], models[1]
 
 
+def _cached(cache: dict, key: tuple, make):
+    """`cache[key]`, set to `make()` when `key` is new."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
 def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
                         model_dir: str | Path, out_root: str | Path,
-                        mode: str = "lenient") -> Path:
+                        mode: str = "lenient", cache: dict | None = None) -> Path:
     """Produce the three splits of one synthetic language plus its manifest.
 
     Reads every input first: the N and V model files of each language the
@@ -222,18 +243,32 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     then puts each split and last the manifest in place whole, through a
     temporary file and `os.replace`: a directory without a manifest is
     incomplete.
+
+    `cache`, a dict the caller owns, keeps for later calls given it each
+    language's models, each blend with its scores of heads of up to
+    `model.MEMO_MAX_N` elements, and each parsed split with its trees' drop
+    reasons and configurations (about 1.7 times the trees' memory).  A file
+    is not read again once cached, so drop the dict when inputs may change.
+    Reuse never changes a byte.  `batch` keeps one dict per task, a run of
+    at most ceil(specs / jobs) consecutive specs with one substrate.
     """
+    cache = {} if cache is None else cache
     superstrates = (spec.superstrate_n, spec.superstrate_v)
     model_n = model_v = None
     if superstrates != (None, None):
-        pairs = {lang: load_language_models(model_dir, lang)
+        pairs = {lang: _cached(cache, ("models", model_dir, lang),
+                               lambda: load_language_models(model_dir, lang))
                  for lang in dict.fromkeys((spec.substrate,) + superstrates)
                  if lang is not None}
         model_n, model_v = (
             None if sup is None
-            else interpolate(pairs[sup][k], pairs[spec.substrate][k], spec.lam)
+            else _cached(cache, ("blend", model_dir, spec.substrate, sup, k, spec.lam),
+                         lambda: interpolate(pairs[sup][k], pairs[spec.substrate][k],
+                                             spec.lam))
             for k, sup in enumerate(superstrates))
-    inputs = {split: read_split(substrate_dir, spec.substrate, split, mode)
+    inputs = {split: _cached(cache, ("split", substrate_dir, spec.substrate, split, mode),
+                             lambda: list(map(_prepare, read_split(
+                                 substrate_dir, spec.substrate, split, mode))))
               for split in SPLITS}
 
     manifest: list[tuple[str, str]] = [
@@ -254,13 +289,13 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
         dropped: dict[str, list[str]] = {"nonprojective": [], "fanout": []}
         mwt_dropped = 0
         deps_cleared = 0
-        for ordinal, tree in enumerate(trees):
-            reason = generation_drop_reason(tree)
+        for ordinal, prepared in enumerate(trees):
+            tree, reason = prepared[:2]
             if reason is not None:
                 dropped[reason].append(tree.source_id)
                 continue
             rng = RngStream(spec.seed, spec.dirname, split, ordinal)
-            permuted = permute_tree(tree, model_n, model_v, rng)
+            permuted = _permute(prepared, model_n, model_v, rng)
             mwt_dropped += len(tree.ranges)
             # remapping never invents a deps value, so cleared = lost count
             deps_cleared += (sum(1 for t in tree.tokens if t.deps != "_")

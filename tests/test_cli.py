@@ -13,6 +13,7 @@ from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
 from deporder.model import OrderingModel, save_model
+from deporder.synthesis import LanguageSpec, synthesize_language
 
 from conftest import UD_ROOT, chain_conllu
 
@@ -272,6 +273,36 @@ def _kill_worker(*args):
     os._exit(1)
 
 
+def directory_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Puts in place of the process pool one that records its sizes and the
+    calls submitted to it, and runs each call inline; starts no process."""
+    record = {"sizes": [], "calls": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, call):
+            record["calls"].append(call)
+            future = concurrent.futures.Future()
+            future.set_result(call())
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return record
+
+
 class TestBatchCommand:
     def test_serial_and_parallel_agree(self, trained_dir, tmp_path, capsys):
         specs = tmp_path / "specs.txt"
@@ -396,7 +427,7 @@ class TestBatchCommand:
         assert out.splitlines() == ["done\tcc~xx@N", "done\txx~sov@V"]
 
     def test_dead_worker_fails_each_spec(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_synthesize_one", _kill_worker)
+        monkeypatch.setattr(cli, "_synthesize_task", _kill_worker)
         specs = tmp_path / "specs.txt"
         specs.write_text("xx~sov@V\nsov~nadj@N\n")
         code, out, err = run(capsys, "batch", "--specs", str(specs),
@@ -406,34 +437,16 @@ class TestBatchCommand:
         assert out == ""
         assert [line.split("\t")[:2] for line in err.splitlines()] \
             == [["failed", "xx~sov@V"], ["failed", "sov~nadj@N"]]
+        assert all("terminated abruptly" in line for line in err.splitlines())
 
     @pytest.mark.parametrize("env, argv, specs, workers", [
         (None, ["--jobs", "64"], 3, [3]), (None, ["--jobs", "2"], 3, [2]),
         ("64", [], 3, [3]), (None, ["--jobs", "64"], 1, []),
         (None, ["--jobs", "1"], 3, [])])
     def test_no_more_workers_than_specs(self, tmp_path, capsys, monkeypatch,
-                                        env, argv, specs, workers):
-        started = []
-
-        class RecordingPool:
-            """Records its size and runs each call inline; starts no process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, call):
-                future = concurrent.futures.Future()
-                future.set_result(call())
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_synthesize_one", lambda name, *rest: tmp_path / name)
+                                        recording_pool, env, argv, specs, workers):
+        monkeypatch.setattr(cli, "_synthesize_task",
+                            lambda names, *rest: [f"done\t{name}" for name in names])
         if env is not None:
             monkeypatch.setenv("DEPORDER_JOBS", env)
         names = [f"l{k}" for k in range(specs)]
@@ -443,7 +456,57 @@ class TestBatchCommand:
                            "--out", str(tmp_path / "out"), *argv)
         assert code == EXIT_OK
         assert out.splitlines() == [f"done\t{name}" for name in names]
-        assert started == workers
+        assert recording_pool["sizes"] == workers
+
+    @pytest.mark.parametrize("jobs, tasks, workers", [
+        ("1", [["xx~sov@V", "xx~nadj@N", "xx"], ["sov~xx@N"], ["xx~xx@V"]], []),
+        ("2", [["xx~sov@V", "xx~nadj@N", "xx"], ["sov~xx@N"], ["xx~xx@V"]], [2]),
+        ("3", [["xx~sov@V", "xx~nadj@N"], ["xx"], ["sov~xx@N"], ["xx~xx@V"]], [3]),
+        ("9", [["xx~sov@V"], ["xx~nadj@N"], ["xx"], ["sov~xx@N"], ["xx~xx@V"]], [5]),
+        # one substrate still fills every worker
+        ("2", [["xx~sov@V", "xx~nadj@N"], ["xx~xx@N"]], [2])])
+    def test_tasks_are_substrate_runs_cut_to_share(self, trained_dir, tmp_path,
+                                                   capsys, monkeypatch,
+                                                   recording_pool, jobs, tasks,
+                                                   workers):
+        given = []
+        real_task = cli._synthesize_task
+
+        def recording_task(names, *options):
+            given.append(names)
+            return real_task(names, *options)
+
+        monkeypatch.setattr(cli, "_synthesize_task", recording_task)
+        names = [name for task in tasks for name in task]
+        (tmp_path / "specs.txt").write_text("\n".join(names) + "\n")
+        code, out, _ = run(capsys, "batch", "--specs", str(tmp_path / "specs.txt"),
+                           "--data", str(UD_ROOT), "--models", str(trained_dir),
+                           "--out", str(tmp_path / "out"), "--jobs", jobs)
+        assert code == EXIT_OK
+        assert out.splitlines() == [f"done\t{name}" for name in names]
+        assert given == tasks
+        assert recording_pool["sizes"] == workers
+        assert len(recording_pool["calls"]) == (len(tasks) if workers else 0)
+
+    @pytest.mark.parametrize("bad", ["xx~missing@N", "xx~sov@V~nadj@N"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_stays_with_its_spec(self, trained_dir, tmp_path, capsys,
+                                         bad, jobs):
+        # one substrate run: the bad spec shares a task with the good ones
+        names = ["xx~sov@V", bad, "xx~nadj@N"]
+        (tmp_path / "specs.txt").write_text("\n".join(names) + "\n")
+        code, out, err = run(capsys, "batch", "--specs", str(tmp_path / "specs.txt"),
+                             "--data", str(UD_ROOT), "--models", str(trained_dir),
+                             "--out", str(tmp_path / "out"), "--jobs", jobs)
+        assert code == EXIT_BAD_DATA
+        assert out.splitlines() == ["done\txx~sov@V", "done\txx~nadj@N"]
+        assert [line.split("\t")[:2] for line in err.splitlines()] == [["failed", bad]]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) \
+            == ["xx~nadj@N", "xx~sov@V"]
+        for name in ("xx~sov@V", "xx~nadj@N"):
+            solo = synthesize_language(LanguageSpec.parse(name), UD_ROOT / "xx",
+                                       trained_dir, tmp_path / "solo")
+            assert directory_bytes(tmp_path / "out" / name) == directory_bytes(solo)
 
     def test_spec_queued_after_a_worker_died_fails(self):
         class BrokenPool:

@@ -4,7 +4,9 @@ files and synthesized treebanks.
 Any change to these output bytes must be deliberate: a move needs a golden
 digest, a version bump and a CHANGES.md entry that says why the bytes moved.
 Model files carry no version field, so the version bump is what marks a
-model-byte move.  Regenerate with `python tests/test_golden.py OUT_DIR`,
+model-byte move.  A treebank digest covers every byte but the tool version
+in the manifest, which is checked on its own, so a version bump alone
+moves none of them.  Regenerate with `python tests/test_golden.py OUT_DIR`,
 which trains the fixture languages into OUT_DIR/models and synthesizes
 under OUT_DIR/out.
 """
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from deporder import __version__
+from deporder import __version__, cross_product_specs
+from deporder.cli import main
 from deporder.langmodel import (lm_to_text, tag_sequences, train_trigram,
                                 word_sequences)
 from deporder.synthesis import LanguageSpec, synthesize_language
@@ -47,27 +50,31 @@ LM_DIGESTS = {
 # A self-permutation, an N+V blend and a V-only blend.
 TREEBANK_DIGESTS = {
     "xx~xx@N~xx@V":
-        "9827e638aaeaf3035c7dcf3e0fe0c73ec4f0def68c02b2f63dfedf9da32c570e",
+        "abfb68ec147f6c42007e9993e15414c403600a47a82dfec921293919083a04d2",
     "xx~nadj@N~sov@V":
-        "cb9c67d039eb4b5c228cefdf109bcad1511e6c923dd5b4880c1da8e155947f70",
+        "9fef4380f0212b6fb01b5ccffa3b2623898fef28f403316fef023e11f34c3ef1",
     "nadj~sov@V":
-        "a437e2fbe18e4086b2f6ceead1655208f1fa17300c424c4b5a5a06372dc13f65",
+        "8813d8eda3ef7423dffbdebebb45990cdf34f88d790f696d1ce07e0f70069894",
 }
 
 
 def directory_digest(directory: Path) -> str:
-    """SHA-256 over every file's name and bytes, in name order."""
+    """SHA-256 over every file's name and bytes, in name order, with the
+    value of the manifest's `tool_version` line replaced by a fixed token,
+    so a version bump alone moves no digest."""
     h = hashlib.sha256()
     for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.tsv":
+            data = re.sub(rb"(?m)^tool_version\t.*$", b"tool_version\tVERSION", data)
         h.update(path.name.encode("utf-8") + b"\0")
-        h.update(hashlib.sha256(path.read_bytes()).digest())
+        h.update(hashlib.sha256(data).digest())
     return h.hexdigest()
 
 
-def synthesized_digest(spec_name: str, model_dir: Path, out_root: Path) -> str:
+def synthesize(spec_name: str, model_dir: Path, out_root: Path) -> Path:
     spec = LanguageSpec.parse(spec_name)
-    out = synthesize_language(spec, UD_ROOT / spec.substrate, model_dir, out_root)
-    return directory_digest(out)
+    return synthesize_language(spec, UD_ROOT / spec.substrate, model_dir, out_root)
 
 
 def lm_digest(mode: str) -> str:
@@ -90,8 +97,36 @@ def test_language_model_digest(mode):
 
 @pytest.mark.parametrize("spec_name", sorted(TREEBANK_DIGESTS))
 def test_synthesized_treebank_digest(fixture_model_dir, tmp_path, spec_name):
-    assert synthesized_digest(spec_name, fixture_model_dir, tmp_path) \
-        == TREEBANK_DIGESTS[spec_name]
+    out = synthesize(spec_name, fixture_model_dir, tmp_path)
+    assert directory_digest(out) == TREEBANK_DIGESTS[spec_name]
+    manifest = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line for line in manifest if line.startswith("tool_version\t")] \
+        == [f"tool_version\t{__version__}"]
+
+
+def test_batch_reuse_changes_no_byte(fixture_model_dir, tmp_path, capsys):
+    # a batch task reuses inputs, blends and scores across its specs, so any
+    # leak of one spec's state into the next would show as a byte moved
+    names = cross_product_specs(["xx", "sov", "nadj"])
+    for name in names:
+        synthesize(name, fixture_model_dir, tmp_path / "solo")
+    interleaved = [name for run in zip(names[:16], names[16:32], names[32:])
+                   for name in run]
+    for k, (order, jobs) in enumerate([(names, "1"), (names, "2"),
+                                       (names[::-1], "1"), (interleaved, "2")]):
+        specs = tmp_path / f"specs{k}.txt"
+        specs.write_text("\n".join(order) + "\n", encoding="utf-8")
+        assert main(["batch", "--specs", str(specs), "--data", str(UD_ROOT),
+                     "--models", str(fixture_model_dir),
+                     "--out", str(tmp_path / f"batch{k}"), "--jobs", jobs]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"done\t{n}" for n in order]
+        for name in names:
+            solo, batched = tmp_path / "solo" / name, tmp_path / f"batch{k}" / name
+            assert sorted(p.name for p in batched.iterdir()) \
+                == sorted(p.name for p in solo.iterdir())
+            for path in solo.iterdir():
+                assert (batched / path.name).read_bytes() == path.read_bytes(), \
+                    f"{name}/{path.name} at --jobs {jobs}"
 
 
 def test_version_matches_pyproject():
@@ -109,4 +144,4 @@ if __name__ == "__main__":
     for mode in sorted(LM_DIGESTS):
         print(f'"{mode}": "{lm_digest(mode)}",')
     for spec_name in TREEBANK_DIGESTS:
-        print(f'"{spec_name}": "{synthesized_digest(spec_name, model_dir, out_root)}",')
+        print(f'"{spec_name}": "{directory_digest(synthesize(spec_name, model_dir, out_root))}",')

@@ -8,8 +8,9 @@ import pytest
 
 from deporder import features
 from deporder.features import extract, normalize_symbol
-from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE, PRIOR,
-                            OrderingModel, _CompiledCorpus, enumerate_scores,
+from deporder import model as model_module
+from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
+                            MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, enumerate_scores,
                             freeness, interpolate, load_model, log_likelihood,
                             model_from_text, model_to_text, score, train)
 from deporder.sjt import sjt_enumerate
@@ -222,6 +223,61 @@ class TestSymbolCodedScores:
             enumerate_scores(model_n, config)
             sample_ordering(model_n, config, RngStream("guard", config.n))
         assert math.isfinite(freeness(model_n, model_v, kept))
+
+
+class TestScoreMemo:
+    @pytest.fixture
+    def configs(self):
+        rnd = random.Random(97)
+        trees = filter_for_generation(load_split("xx", "dev") + load_split("xx", "test"))
+        configs = [c for t in trees for c in local_configs(t, "N")]
+        configs += [random_config(rnd, n) for n in range(2, 8) for _ in range(3)]
+        # the same observed slots from other raw labels: a subtype, an
+        # unknown tag and an unknown relation normalize onto the first
+        configs += [LocalConfig((("DET", "det:poss"), ("NOUN", "head"))),
+                    LocalConfig((("DET", "det"), ("NOUN", "head"))),
+                    LocalConfig((("XYZ", "amod"), ("NOUN", "head"))),
+                    LocalConfig((("X", "nosuch"), ("NOUN", "head"))),
+                    LocalConfig((("X", "dep"), ("NOUN", "head")))]
+        return configs
+
+    def test_hit_equals_a_fresh_model_bit_for_bit(self, configs, xx_models,
+                                                  sov_n_model):
+        blended = interpolate(sov_n_model, xx_models[0])
+        first = [enumerate_scores(blended, config) for config in configs]
+        for config, (orders, scores) in zip(configs, first):
+            hit = enumerate_scores(blended, config)
+            fresh = enumerate_scores(interpolate(sov_n_model, xx_models[0]), config)
+            assert hit[0] == fresh[0] == orders
+            assert hit[1].tobytes() == fresh[1].tobytes()
+            assert (hit[1] is scores) == (config.n <= MEMO_MAX_N)
+
+    def test_nothing_above_the_bound_is_kept(self, configs, xx_models):
+        blended = interpolate(xx_models[0], xx_models[0])
+        for config in configs:
+            enumerate_scores(blended, config)
+        kept = {len(slots) - 2 for slots in blended._lookup[-1]}
+        assert kept == set(range(1, MEMO_MAX_N + 1))
+
+    def test_scores_are_read_only(self, xx_models):
+        for config in (SUBTREE, random_config(random.Random(5), 7)):
+            scores = enumerate_scores(xx_models[1], config)[1]
+            with pytest.raises(ValueError):
+                scores[0] = 1.0
+
+    def test_freeness_unchanged(self, xx_train_trees, xx_models, sov_n_model,
+                                monkeypatch):
+        kept = filter_for_generation(xx_train_trees)
+
+        def fresh():
+            return (interpolate(sov_n_model, xx_models[0]),
+                    interpolate(xx_models[1], xx_models[1]))
+
+        cold = freeness(*fresh(), kept)
+        models = fresh()
+        assert freeness(*models, kept) == freeness(*models, kept) == cold
+        monkeypatch.setattr(model_module, "MEMO_MAX_N", 0)
+        assert freeness(*fresh(), kept) == cold
 
 
 def compile_cases(rnd):

@@ -16,7 +16,8 @@ from deporder.synthesis import (DEFAULT_LAMBDA, SPLITS, LanguageSpec, RngStream,
                                 sample_ordering, synthesize_language)
 from deporder.treebank import (DepTree, LocalConfig, Token,
                                filter_for_generation, generation_drop_reason,
-                               is_projective, parse_conllu, serialize_conllu)
+                               is_projective, parse_conllu, read_split,
+                               serialize_conllu)
 
 from conftest import UD_ROOT, chain_conllu, load_split, log_partition
 
@@ -336,6 +337,39 @@ class TestSpecInputs:
                             fixture_model_dir, tmp_path)
         assert reads == Counter(f"{lang}-{pos_class}.model"
                                 for lang in languages for pos_class in "NV")
+
+    def test_cache_reads_each_input_once(self, fixture_model_dir, tmp_path,
+                                         monkeypatch):
+        loads, parses = Counter(), Counter()
+
+        def counting_load(path):
+            loads[path.name] += 1
+            return load_model(path)
+
+        def counting_read(directory, language, split, mode):
+            parses[language, split] += 1
+            return read_split(directory, language, split, mode)
+
+        monkeypatch.setattr(synthesis, "load_model", counting_load)
+        monkeypatch.setattr(synthesis, "read_split", counting_read)
+        names = ["xx~sov@V", "sov~xx@N", "xx~nadj@N~sov@V", "sov", "xx~xx@N"]
+        cache: dict = {}
+        for name in names:
+            spec = LanguageSpec.parse(name)
+            synthesize_language(spec, UD_ROOT / spec.substrate, fixture_model_dir,
+                                tmp_path / "shared", cache=cache)
+        assert loads == Counter(f"{lang}-{pos_class}.model"
+                                for lang in ("xx", "sov", "nadj") for pos_class in "NV")
+        assert parses == Counter((lang, split) for lang in ("xx", "sov")
+                                 for split in SPLITS)
+        # a shared cache, even across substrates, changes no byte
+        for name in names:
+            spec = LanguageSpec.parse(name)
+            solo = synthesize_language(spec, UD_ROOT / spec.substrate,
+                                       fixture_model_dir, tmp_path / "solo")
+            for path in solo.iterdir():
+                assert (tmp_path / "shared" / name / path.name).read_bytes() \
+                    == path.read_bytes()
 
     def test_missing_model_file_writes_nothing(self, fixture_model_dir,
                                                tmp_path):
