@@ -12,7 +12,8 @@ codes, and turns a pair key's names and a whitelisted window's name into
 feature ids, once per distinct configuration.  `score` extracts one
 ordering's features directly and is the reference the table is tested
 against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over the
-distinct training configurations, their tables stacked by size.
+distinct training configurations, their tables stacked by size with only
+the entries of states that fire a feature kept.
 """
 
 from __future__ import annotations
@@ -251,12 +252,15 @@ class _CompiledCorpus:
     `groups` lists the distinct configurations' normalized keys, first seen
     first; `total` counts every configuration.  Configurations of size n
     share `_sjt_table(n)`'s rows, columns and `span` states, so a block
-    (codes, span, owner, ids, weight) stacks the codes of the next up to
-    `GATHER_ROWS // n!` (one at least), in size order, into a (groups, n!,
-    columns) array.  Its state `i * span + s`, state s of group i, fires the
-    feature ids `ids[owner == i * span + s]`: the names of its pair key, or
-    its window's name if `whitelist` holds it.  Ids are numbered in state
-    order, first seen first.  `weight[i]` is group i's count / `total`.
+    (states, counts, starts, span, owner, ids, weight) stacks the next up to
+    `GATHER_ROWS // n!` (one at least), in size order.  Its state
+    `i * span + s`, state s of group i, fires the feature ids
+    `ids[owner == i * span + s]`: the names of its pair key, or its window's
+    name if `whitelist` holds it.  Row `r = i * n! + k`, ordering k of group
+    i, keeps only its live entries, the states that fire an id, and has at
+    least one: `counts[r]` of them in `states` from `starts[r]` on.  Ids are
+    numbered in state order, first seen first.  `weight[i]` is group i's
+    count / `total`.
     """
 
     def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
@@ -269,29 +273,39 @@ class _CompiledCorpus:
         self.name_index: dict[str, int] = {}
         self.blocks = []
         window_names = _window_names(whitelist)
+        pair_names: dict[int, list[str]] = {}  # pair key -> its names
         members = sorted(distinct.values(), key=lambda member: member[0].n)
         while members:
             n = members[0][0].n
             part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
                     if m[0].n == n]
             del members[:len(part)]
-            codes, owners, ids = [], [], []
+            states, counts, owners, ids = [], [], [], []
             for i, (config, _) in enumerate(part):
                 _, table, rows, pair_states, pair_keys, window_states, window_codes = \
                     _states(*features.observed_slots(config))
                 fired: list = [()] * (len(pair_states) + len(window_states))
                 for state, key in zip(pair_states.tolist(), pair_keys.tolist()):
-                    fired[state] = _pair_names(key)
+                    if key not in pair_names:
+                        pair_names[key] = _pair_names(key)
+                    fired[state] = pair_names[key]
                 for state, code in zip(window_states.tolist(), window_codes.tolist()):
                     if code in window_names:
                         fired[state] = (window_names[code],)
                 span = len(fired)
-                codes.append(table[rows].astype(np.min_scalar_type(span)))
-                owners.append(np.repeat(np.arange(span) + i * span, [len(f) for f in fired]))
+                fires = np.array([len(f) for f in fired])
+                table = table[rows]
+                live = (fires > 0)[table]
+                # every row keeps its adjacent (BOS, first element) pair, which
+                # fires A.BOS.BOS.*, so no row is empty, as `np.add.reduceat` needs
+                states.append(table[live] + i * span)
+                counts.append(np.count_nonzero(live, axis=1))
+                owners.append(np.repeat(np.arange(span) + i * span, fires))
                 ids.append(np.array([self.name_index.setdefault(name, len(self.name_index))
                                      for names in fired for name in names], dtype=np.intp))
-            self.blocks.append((np.stack(codes), span, np.concatenate(owners),
-                                np.concatenate(ids),
+            counts = np.concatenate(counts)
+            self.blocks.append((np.concatenate(states), counts, np.cumsum(counts) - counts,
+                                span, np.concatenate(owners), np.concatenate(ids),
                                 np.array([count for _, count in part]) / self.total))
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -303,16 +317,15 @@ class _CompiledCorpus:
         group's `weight`, added to every feature id the state fires.
         """
         total, grad = 0.0, np.zeros(len(self.name_index))
-        for codes, span, owner, ids, weight in self.blocks:
-            state_weight = np.bincount(owner, theta[ids], len(codes) * span)
-            states = codes + (np.arange(len(codes)) * span)[:, None, None]
-            scores = state_weight[states].sum(axis=2)
+        for states, counts, starts, span, owner, ids, weight in self.blocks:
+            state_weight = np.bincount(owner, theta[ids], len(weight) * span)
+            scores = np.add.reduceat(state_weight[states], starts).reshape(len(weight), -1)
             top = scores.max(axis=1, keepdims=True)
             logz = top + np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
             total += float(weight @ (scores[:, 0] - logz[:, 0]))
             probs = np.exp(scores - logz) * -weight[:, None]
             probs[:, 0] += weight  # the observed ordering's states
-            mass = np.bincount(states.ravel(), np.repeat(probs.ravel(), codes.shape[2]))
+            mass = np.bincount(states, np.repeat(probs.ravel(), counts), len(weight) * span)
             grad += np.bincount(ids, mass[owner], len(grad))
         return total, grad
 

@@ -28,17 +28,17 @@ from conftest import UD_ROOT, load_split, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "44df0f71187b6f5abe315d50ee903c984ff949eddbfd3ae4963723e540f14cec",
+        "b1160cfdb9465d8cc1d8abc2af2f1e758d9b492083d4aa713ff131fc5c5ea06e",
     "nadj-V.model":
-        "3a7559eadf5f8dcc40f535219af30213f67abf535c9059acd305849acafaa36b",
+        "08a6c8d85f48a3bad9a37e442be38a3e15881e0cf07a73f4f5adfee6c3b222db",
     "sov-N.model":
-        "30cf5420151e2239eaaf9c7493832fd95f6cbe5d6ce51d043d92f1cf36f85f42",
+        "72c916e1ae2b297a38801a0239158f056ad97c8538c7f562364c90ddc18bbdd5",
     "sov-V.model":
-        "fafa25007e66d9d473b94639241863301009146de2e2bd704fdb8c15fc296d4f",
+        "0a918e0ca41f79cfb13a65af2408b6964d75ae0153b4ae7392e32cc2fc04ee67",
     "xx-N.model":
-        "a3fb4e19cd2046e5a3e15ddb18ab39d87881d5c9db6c4b90112c2b5b63119354",
+        "5a3a36744a540e5801989da0c547765ead89b3c509c23f30a7da0adecf58bb87",
     "xx-V.model":
-        "5402d3d7853be909ea32cd7914f5b1f764b7e2837980855c606bcd097569e002",
+        "b4247c8428feadd1c8b716e05d3c8dfa71395c819bafb5a366c1ccd588334aeb",
 }
 
 # Trigram LMs of each mode, trained on the fixture `xx` train split.

@@ -10,9 +10,9 @@ from deporder import features
 from deporder.features import extract, normalize_symbol
 from deporder import model as model_module
 from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
-                            MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, enumerate_scores,
-                            freeness, interpolate, load_model, log_likelihood,
-                            model_from_text, model_to_text, score, train)
+                            MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, _states,
+                            enumerate_scores, freeness, interpolate, load_model,
+                            log_likelihood, model_from_text, model_to_text, score, train)
 from deporder.sjt import sjt_enumerate
 from deporder.synthesis import RngStream, sample_ordering
 from deporder.treebank import (LocalConfig, filter_for_generation,
@@ -143,15 +143,18 @@ NEVER_FIRING = frozenset({
 def name_table_scores(model, config):
     """Every ordering's score from the names a one-configuration corpus
     gives its states under the model's H whitelist: weights added per state
-    by `np.bincount`, then each ordering's states gathered and summed."""
+    by `np.bincount`, then each ordering's states, dead ones included,
+    gathered and summed."""
     corpus = _CompiledCorpus([config], model.h_whitelist)
-    (codes, span, owner, ids, _), = corpus.blocks
+    (*_, span, owner, ids, _), = corpus.blocks
+    _, table, rows, *_ = _states(*features.observed_slots(config))
+    codes = table[rows]
     names = list(corpus.name_index)
     state_weight = np.bincount(
         owner, [model.weights.get(names[i], 0.0) for i in ids.tolist()], span)
-    scores = np.empty(codes.shape[1])
+    scores = np.empty(len(codes))
     for k in range(0, len(scores), GATHER_ROWS):
-        scores[k:k + GATHER_ROWS] = state_weight[codes[0, k:k + GATHER_ROWS]].sum(axis=1)
+        scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
     return tuple(sjt_enumerate(config.n)), scores
 
 
@@ -307,12 +310,16 @@ def distinct_configs(configs):
 
 
 def stacked_groups(corpus):
-    """Each group's (codes, owner, ids) read out of its block, in block
-    order, with its block weight."""
-    for codes, span, owner, ids, weight in corpus.blocks:
-        for i, table in enumerate(codes):
+    """Each group's (rows, owner, ids) read out of its block, in block
+    order, with its block weight.  Row k lists the live states of ordering
+    k, numbered within the group."""
+    for states, counts, starts, span, owner, ids, weight in corpus.blocks:
+        rows = np.split(states, starts[1:])
+        size = len(counts) // len(weight)
+        for i in range(len(weight)):
             mine = (owner >= i * span) & (owner < (i + 1) * span)
-            yield table, owner[mine] - i * span, ids[mine], weight[i]
+            yield ([row - i * span for row in rows[i * size:(i + 1) * size]],
+                   owner[mine] - i * span, ids[mine], weight[i])
 
 
 def reference_objective(configs, whitelist, theta):
@@ -356,20 +363,48 @@ class TestCompiledRows:
             assert list(corpus.name_index.values()) == list(range(len(names)))
             assert len(corpus.groups) == len(distinct)
             assert corpus.total == sum(counts)
-            for codes, *_ in corpus.blocks:
-                assert len(codes) == 1 or len(codes) * codes.shape[1] <= GATHER_ROWS
+            for states, sizes, starts, span, _, _, weight in corpus.blocks:
+                assert len(weight) == 1 or len(sizes) <= GATHER_ROWS
+                assert states.dtype == np.intp and len(states) == sizes.sum()
+                assert starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+                assert 0 <= states.min() and states.max() < len(weight) * span
             groups = list(stacked_groups(corpus))
             assert len(groups) == len(in_blocks)
-            for (codes, owner, ids, weight), (config, count) in zip(groups, in_blocks):
-                assert len(codes) == math.factorial(config.n)
+            for (rows, owner, ids, weight), (config, count) in zip(groups, in_blocks):
+                assert len(rows) == math.factorial(config.n)
                 assert weight == count / corpus.total
-                fires = [[] for _ in range(int(codes.max()) + 1)]
+                fires = [[] for _ in range(int(owner.max()) + 1)]
                 for state, i in zip(owner.tolist(), ids.tolist()):
                     fires[state].append(names[i])
-                for k, perm in enumerate(sjt_enumerate(config.n)):
-                    fired = Counter(name for state in codes[k]
+                for row, perm in zip(rows, sjt_enumerate(config.n)):
+                    fired = Counter(name for state in row.tolist()
                                     for name in fires[state])
                     assert fired == extract(config, perm, whitelist)
+
+    def test_every_row_is_live_and_keeps_every_firing_entry(self):
+        # reduceat needs an entry in every row; dropping a firing entry
+        # would lose a feature from a score or a gradient
+        configs, whitelists = compile_cases(random.Random(101))
+        cases = [(configs, whitelist) for whitelist in whitelists]
+        for language in ("xx", "sov", "nadj"):
+            trees = [t for t in load_split(language) if is_projective(t)]
+            for pos_class in ("N", "V"):
+                usable = [c for t in trees for c in local_configs(t, pos_class)
+                          if c.n <= MAX_TRAIN_SIZE]
+                cases.append((usable, features.build_h_whitelist(usable)))
+        sizes = set()
+        for configs, whitelist in cases:
+            corpus = _CompiledCorpus(configs, whitelist)
+            assert all(counts.min() >= 1 for _, counts, *_ in corpus.blocks)
+            in_blocks = sorted(distinct_configs(configs)[0], key=lambda c: c.n)
+            for (rows, owner, _, _), config in zip(stacked_groups(corpus), in_blocks):
+                sizes.add(config.n)
+                _, table, order_rows, *_ = _states(*features.observed_slots(config))
+                firing = np.zeros(table.max() + 1, dtype=bool)
+                firing[owner] = True
+                for row, dense in zip(rows, table[order_rows]):
+                    assert row.tolist() == dense[firing[dense]].tolist()
+        assert sizes == set(range(1, MAX_TRAIN_SIZE + 1))
 
 
 class TestObjective:
@@ -391,8 +426,8 @@ class TestObjective:
         corpus = assert_matches_reference(configs, fired_h_names(configs), rnd)
         assert len(corpus.groups) == len(distinct_configs(configs)[0])
         for n in (5, 6):
-            assert sum(codes.shape[1] == math.factorial(n)
-                       for codes, *_ in corpus.blocks) > 1
+            assert sum(len(counts) == len(weight) * math.factorial(n)
+                       for _, counts, *_, weight in corpus.blocks) > 1
 
     def test_single_element_corpus_is_flat(self):
         configs = [LocalConfig((("NOUN", "head"),)),
@@ -522,6 +557,11 @@ class TestGradient:
                 assert abs(analytic[name] - fd) / denom < 1e-4
 
 
+FIXTURE_PATHS = {("xx", "N"): (36, 37), ("xx", "V"): (33, 39),
+                 ("sov", "N"): (12, 15), ("sov", "V"): (15, 18),
+                 ("nadj", "N"): (11, 13), ("nadj", "V"): (15, 18)}
+
+
 class TestTrain:
     def test_separable_corpus_saturates(self, monkeypatch):
         model = train([DET_PAIR] * 100, set())
@@ -566,6 +606,9 @@ class TestTrain:
         meta = train_fixture_model(language, pos_class).training_meta
         assert meta.converged
         assert meta.grad_inf_norm <= GRAD_TOLERANCE
+        # the optimizer's path: a change that only rounds the objective
+        # differently must keep (iterations, evaluations)
+        assert (meta.iterations, meta.evaluations) == FIXTURE_PATHS[language, pos_class]
 
     def test_fixture_xx_training_is_cheap(self, xx_models):
         # conjugate gradients took 278 evaluations here, L-BFGS 76
