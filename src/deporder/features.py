@@ -3,6 +3,8 @@
 A sequence of n elements is extended with sentinel slots: slot 0 is
 (BOS, BOS), slot n+1 is (EOS, EOS), slots 1..n hold the permuted elements
 as (tag, relation) pairs, exactly one of which has the relation "head".
+`observed_slots`, the observed order's slots bucketed by `normalize_symbol`
+and the head's slot, is the one configuration key of training and scoring.
 
 Feature names are stable dot-separated strings (model files depend on them
 byte for byte).  Writing t for tags and r for relations:
@@ -15,9 +17,10 @@ byte for byte).  Writing t for tags and r for relations:
   adjacency        A.t_i.r_i.t_j.r_j   A.t_i.t_j   A.r_i.r_j   for j = i+1
   higher-order     H.t_i.r_i. ... .t_j.r_j   over 3 to 5 contiguous slots
 
-Each non-H feature naming both tags and relations comes with the two backoff
-forms shown (tags only, relations only).  H features have no backoffs and
-are subject to a whitelist of the most frequent names in training data.
+Each non-H full name fires with the two backoff forms shown (tags only,
+relations only), in that order in `symbol_pair_names`.  H features have no
+backoffs and are subject to a whitelist of the most frequent names in
+training data.
 """
 
 from __future__ import annotations
@@ -64,24 +67,23 @@ def observed_slots(config: LocalConfig) -> tuple[tuple[tuple[str, str], ...], in
     return slots, heads[0]
 
 
-@lru_cache(maxsize=1 << 18)
-def symbol_pair_groups(a, b, dclass: int, adjacent: bool):
-    """Feature-name groups fired by symbol `a` in a slot before symbol `b`'s,
-    the slots both left of the head, straddling it or both right of it for
-    `dclass` 0, 1 or 2.  Each group is a (full, tag-backoff, relation-backoff)
-    triple, save the head-direction group, whose backoffs drop one field each.
-    Only the sentinels have tags BOS and EOS."""
+def symbol_pair_names(a, b, dclass: int, adjacent: bool) -> list[str]:
+    """Feature names fired by symbol `a` in a slot before symbol `b`'s, the
+    slots both left of the head, straddling it or both right of it for
+    `dclass` 0, 1 or 2, in firing order.  Each full name is followed by its
+    tag and relation backoffs; the head-direction backoffs drop one field
+    each.  Only the sentinels have tags BOS and EOS."""
     (ti, ri), (tj, rj) = a, b
-    groups = []
+    names = []
     if rj == HEAD_RELATION and ti != BOS:
-        groups.append((f"L.{ti}.{ri}", f"L.{ti}", f"L.{ri}"))
+        names += f"L.{ti}.{ri}", f"L.{ti}", f"L.{ri}"
     if ti != BOS and tj != EOS and HEAD_RELATION not in (ri, rj):  # siblings
         d = "lmr"[dclass]
-        groups.append((f"L.{ti}.{ri}.{tj}.{rj}", f"L.{ti}.{tj}", f"L.{ri}.{rj}"))
-        groups.append((f"{d}.{ti}.{ri}.{tj}.{rj}", f"{d}.{ti}.{tj}", f"{d}.{ri}.{rj}"))
+        names += f"L.{ti}.{ri}.{tj}.{rj}", f"L.{ti}.{tj}", f"L.{ri}.{rj}"
+        names += f"{d}.{ti}.{ri}.{tj}.{rj}", f"{d}.{ti}.{tj}", f"{d}.{ri}.{rj}"
     if adjacent:
-        groups.append((f"A.{ti}.{ri}.{tj}.{rj}", f"A.{ti}.{tj}", f"A.{ri}.{rj}"))
-    return tuple(groups)
+        names += f"A.{ti}.{ri}.{tj}.{rj}", f"A.{ti}.{tj}", f"A.{ri}.{rj}"
+    return names
 
 
 @lru_cache(maxsize=1 << 18)
@@ -107,8 +109,7 @@ def extract(config: LocalConfig, order: tuple[int, ...],
     for i in range(top):
         for j in range(i + 1, top + 1):
             dclass = 1 - (j < head_slot) + (i > head_slot)
-            for group in symbol_pair_groups(slots[i], slots[j], dclass, j == i + 1):
-                counts.update(group)
+            counts.update(symbol_pair_names(slots[i], slots[j], dclass, j == i + 1))
             if H_MIN_SPAN <= j - i <= H_MAX_SPAN:
                 name = span_name(slots[i:j + 1])
                 if whitelist is None or name in whitelist:

@@ -19,7 +19,7 @@ the entries of states that fire a feature kept.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -179,24 +179,26 @@ def _states(slots: tuple[tuple[str, str], ...], head: int):
             windows[0], (_WINDOW_RADIX @ digits[windows[1:]]).astype(np.int64))
 
 
-def _pair_names(key: int) -> list[str]:
+@lru_cache(maxsize=1 << 18)
+def _pair_names(key: int) -> tuple[str, ...]:
     """The feature names a pair state of key `key` (see `_states`) fires, in
     firing order."""
     (a, b), tail = divmod(key // 6, _BASE), key % 6
-    return [name for group in features.symbol_pair_groups(
-        SYMBOLS[a - 1], SYMBOLS[b - 1], *divmod(tail, 2)) for name in group]
+    return tuple(features.symbol_pair_names(SYMBOLS[a - 1], SYMBOLS[b - 1], *divmod(tail, 2)))
 
 
-def _window_names(whitelist: AbstractSet[str]) -> dict[int, str]:
+def _window_names(whitelist: AbstractSet[str]) -> tuple[np.ndarray, list]:
     """The whitelisted windows that can fire ("H." and 3 to 5 symbols of
-    `SYMBOLS`) by window code (see `_states`)."""
-    names = {}
+    `SYMBOLS`): their sorted window codes (see `_states`), then one past
+    every window, and their names in that order, then None."""
+    names = {np.iinfo(np.int64).max: None}
     for name in whitelist:
         fields = name.split(".")
         digits = [_DIGIT.get(pair) for pair in zip(fields[1::2], fields[2::2])]
         if fields[0] == "H" and None not in digits and len(fields) in (7, 9, 11):
             names[sum(d * _BASE ** k for k, d in enumerate(digits))] = name
-    return names
+    codes = sorted(names)
+    return np.array(codes, dtype=np.int64), [names[code] for code in codes]
 
 
 def enumerate_scores(model: OrderingModel, config: LocalConfig
@@ -211,10 +213,8 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     """
     slots, head = features.observed_slots(config)
     if model._lookup is None:  # built once per model, then kept on it
-        coded = {code: model.weights.get(name, 0.0)
-                 for code, name in _window_names(model.h_whitelist).items()}
-        coded[np.iinfo(np.int64).max] = 0.0  # past every window code
-        model._lookup = ({}, *map(np.array, zip(*sorted(coded.items()))), {})
+        index, names = _window_names(model.h_whitelist)
+        model._lookup = ({}, index, np.array([model.weights.get(n, 0.0) for n in names]), {})
     pair_weight, index, window_weight, memo = model._lookup
     if slots in memo:
         return memo[slots]
@@ -249,9 +249,9 @@ def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
 class _CompiledCorpus:
     """Deduplicated training configurations, stacked by size into blocks.
 
-    `groups` lists the distinct configurations' normalized keys, first seen
-    first; `total` counts every configuration.  Configurations of size n
-    share `_sjt_table(n)`'s rows, columns and `span` states, so a block
+    `groups` lists the distinct configurations' `features.observed_slots`
+    keys, first seen first; `total` counts every configuration.  Those of
+    size n share `_sjt_table(n)`'s rows, columns and `span` states, so a block
     (states, counts, starts, span, owner, ids, weight) stacks the next up to
     `GATHER_ROWS // n!` (one at least), in size order.  Its state
     `i * span + s`, state s of group i, fires the feature ids
@@ -264,34 +264,28 @@ class _CompiledCorpus:
     """
 
     def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
-        distinct: dict[tuple, list] = {}  # key -> [first configuration, count]
-        for config in configs:
-            key = tuple(features.normalize_symbol(t, r) for t, r in config.elements)
-            distinct.setdefault(key, [config, 0])[1] += 1
+        distinct = Counter(map(features.observed_slots, configs))  # first seen first
         self.groups = list(distinct)
-        self.total = sum(count for _, count in distinct.values())
+        self.total = sum(distinct.values())
         self.name_index: dict[str, int] = {}
         self.blocks = []
-        window_names = _window_names(whitelist)
-        pair_names: dict[int, list[str]] = {}  # pair key -> its names
-        members = sorted(distinct.values(), key=lambda member: member[0].n)
+        window_codes, window_names = _window_names(whitelist)
+        members = sorted(distinct.items(), key=lambda member: len(member[0][0]))
         while members:
-            n = members[0][0].n
+            n = len(members[0][0][0]) - 2  # n elements fill n + 2 slots
             part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
-                    if m[0].n == n]
+                    if len(m[0][0]) == n + 2]
             del members[:len(part)]
             states, counts, owners, ids = [], [], [], []
-            for i, (config, _) in enumerate(part):
-                _, table, rows, pair_states, pair_keys, window_states, window_codes = \
-                    _states(*features.observed_slots(config))
-                fired: list = [()] * (len(pair_states) + len(window_states))
-                for state, key in zip(pair_states.tolist(), pair_keys.tolist()):
-                    if key not in pair_names:
-                        pair_names[key] = _pair_names(key)
-                    fired[state] = pair_names[key]
-                for state, code in zip(window_states.tolist(), window_codes.tolist()):
-                    if code in window_names:
-                        fired[state] = (window_names[code],)
+            for i, (key, _) in enumerate(part):
+                _, table, rows, pair_states, pair_keys, windows, codes = _states(*key)
+                fired: list = [()] * (len(pair_states) + len(windows))
+                for state, pair_key in zip(pair_states.tolist(), pair_keys.tolist()):
+                    fired[state] = _pair_names(pair_key)
+                found = window_codes.searchsorted(codes)
+                hit = window_codes[found] == codes
+                for state, k in zip(windows[hit].tolist(), found[hit].tolist()):
+                    fired[state] = (window_names[k],)
                 span = len(fired)
                 fires = np.array([len(f) for f in fired])
                 table = table[rows]
@@ -471,12 +465,13 @@ def freeness(model_n: OrderingModel, model_v: OrderingModel,
 def model_to_text(model: OrderingModel) -> str:
     """Line-oriented model file: header, then feature weights in name order.
 
-    Whitelisted H features are written even at weight zero so the whitelist
-    survives a round trip.  Weights are printed with full precision.
+    The loader whitelists every H line, so the H lines are the whitelist,
+    even at weight zero; an H weight outside it never fires and is not
+    written.  Weights are printed with full precision.
     """
-    entries = {name: w for name, w in model.weights.items() if w != 0.0}
-    for name in model.h_whitelist:
-        entries.setdefault(name, model.weights.get(name, 0.0))
+    entries = {name: w for name, w in model.weights.items()
+               if w != 0.0 and not name.startswith("H.")}
+    entries.update((name, model.weights.get(name, 0.0)) for name in model.h_whitelist)
     lines = [f"#lang {model.language}",
              f"#pos {model.pos_class}",
              f"#version {MODEL_FORMAT_VERSION}"]
@@ -488,6 +483,7 @@ def model_to_text(model: OrderingModel) -> str:
 def model_from_text(text: str) -> OrderingModel:
     language = ""
     pos_class = ""
+    version = None
     weights: dict[str, float] = {}
     whitelist: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -520,6 +516,8 @@ def model_from_text(text: str) -> OrderingModel:
                 whitelist.add(name)
     if not pos_class:
         raise ValueError("model file lacks a #pos header")
+    if version is None:
+        raise ValueError("model file lacks a #version header")
     return OrderingModel(language, pos_class, weights, frozenset(whitelist))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deporder.features import (build_h_whitelist, extract, observed_slots,
-                               span_name, symbol_pair_groups)
+                               span_name, symbol_pair_names)
 from deporder.treebank import LocalConfig
 
 SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
@@ -48,16 +48,15 @@ def permuted_slots(config, order):
     return (slots[0], *(slots[pos] for pos in order), slots[-1]), order.index(head) + 1
 
 
-def slot_pair_groups(slots, head_slot, i, j):
-    """The feature-name groups fired by the slot pair (i, j), i < j."""
+def slot_pair_names(slots, head_slot, i, j):
+    """The feature names fired by the slot pair (i, j), i < j, in firing order."""
     dclass = 1 - (j < head_slot) + (i > head_slot)
-    return symbol_pair_groups(slots[i], slots[j], dclass, j == i + 1)
+    return symbol_pair_names(slots[i], slots[j], dclass, j == i + 1)
 
 
 def pair_names(i, j):
     """All non-H feature names fired by SUBTREE's slot pair (i, j), i < j."""
-    return {name for group in slot_pair_groups(SUBTREE_SLOTS, SUBTREE_HEAD, i, j)
-            for name in group}
+    return set(slot_pair_names(SUBTREE_SLOTS, SUBTREE_HEAD, i, j))
 
 
 class TestPairFeatures:
@@ -186,11 +185,13 @@ class TestTemplateInvariants:
                       if 1 <= slot < head_slot}
         assert sum(counts[name] for name in left_names) == left_of_head
 
-        # every full non-H name has both backoffs, counted at least as often
+        # every full non-H name is followed by both backoffs, counted at
+        # least as often
         for i in range(n + 1):
             for j in range(i + 1, n + 2):
-                for group in slot_pair_groups(slots, head_slot, i, j):
-                    full, tag_backoff, rel_backoff = group
+                names = slot_pair_names(slots, head_slot, i, j)
+                assert len(names) % 3 == 0
+                for full, tag_backoff, rel_backoff in zip(*[iter(names)] * 3):
                     assert counts[tag_backoff] >= counts[full] >= 1
                     assert counts[rel_backoff] >= counts[full]
 

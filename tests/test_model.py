@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deporder import features
-from deporder.features import extract, normalize_symbol
+from deporder.features import extract, observed_slots
 from deporder import model as model_module
 from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
                             MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, _states,
@@ -15,7 +15,7 @@ from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
                             log_likelihood, model_from_text, model_to_text, score, train)
 from deporder.sjt import sjt_enumerate
 from deporder.synthesis import RngStream, sample_ordering
-from deporder.treebank import (LocalConfig, filter_for_generation,
+from deporder.treebank import (DepTree, LocalConfig, Token, filter_for_generation,
                                is_projective, local_configs)
 
 from conftest import load_split, log_partition, train_fixture_model
@@ -140,14 +140,15 @@ NEVER_FIRING = frozenset({
 })
 
 
-def name_table_scores(model, config):
-    """Every ordering's score from the names a one-configuration corpus
-    gives its states under the model's H whitelist: weights added per state
-    by `np.bincount`, then each ordering's states, dead ones included,
-    gathered and summed."""
-    corpus = _CompiledCorpus([config], model.h_whitelist)
+def name_table_scores(model, *configs):
+    """Every ordering's score from the names a corpus of `configs`, which
+    must compile to one group, gives its states under the model's H
+    whitelist: weights added per state by `np.bincount`, then each
+    ordering's states, dead ones included, gathered and summed."""
+    corpus = _CompiledCorpus(configs, model.h_whitelist)
+    assert corpus.groups == [observed_slots(configs[0])] and corpus.total == len(configs)
     (*_, span, owner, ids, _), = corpus.blocks
-    _, table, rows, *_ = _states(*features.observed_slots(config))
+    _, table, rows, *_ = _states(*corpus.groups[0])
     codes = table[rows]
     names = list(corpus.name_index)
     state_weight = np.bincount(
@@ -155,7 +156,7 @@ def name_table_scores(model, config):
     scores = np.empty(len(codes))
     for k in range(0, len(scores), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
-    return tuple(sjt_enumerate(config.n)), scores
+    return tuple(sjt_enumerate(configs[0].n)), scores
 
 
 def whitelist_models(rnd, config):
@@ -169,6 +170,22 @@ def whitelist_models(rnd, config):
     weights |= {name: rnd.gauss(0.0, 1.0) for name in NEVER_FIRING}
     for whitelist in (h_names, (), rnd.sample(h_names, len(h_names) // 2) + [*NEVER_FIRING]):
         yield OrderingModel("rand", "N", weights, frozenset(whitelist))
+
+
+def alike_pairs():
+    """Pairs of configurations that differ only in a relation subtype, an
+    unknown tag or a dependent labelled head, and so normalize alike."""
+    def adj_noun_verb(deprel):  # ADJ and NOUN dependents of a VERB head
+        return local_configs(DepTree((
+            Token(1, "big", "big", "ADJ", head=3, deprel=deprel),
+            Token(2, "dog", "dog", "NOUN", head=3, deprel="nsubj"),
+            Token(3, "ran", "ran", "VERB", head=0, deprel="root"))), "V")[0]
+
+    return [(LocalConfig((("DET", "det:poss"), ("ADJ", "amod"), ("NOUN", "head"))),
+             LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))),
+            (LocalConfig((("FOO", "amod"), ("NOUN", "head"), ("ADP", "case"))),
+             LocalConfig((("X", "amod"), ("NOUN", "head"), ("ADP", "case")))),
+            (adj_noun_verb("head"), adj_noun_verb("nosuch"))]
 
 
 def coded_cases(rnd):
@@ -191,6 +208,14 @@ class TestSymbolCodedScores:
                 assert scores.tobytes() == ref_scores.tobytes()
                 for order, s in zip(orders, scores.tolist()):
                     assert abs(score(model, config, order) - s) < 1e-12
+        # configurations alike once normalized compile to one group of two,
+        # whose scores are each one's
+        for pair in alike_pairs():
+            assert pair[0].elements != pair[1].elements
+            for model in whitelist_models(rnd, pair[0]):
+                ref_scores = name_table_scores(model, *pair)[1]
+                for config in pair:
+                    assert enumerate_scores(model, config)[1].tobytes() == ref_scores.tobytes()
 
     def test_one_model_over_many_configurations(self, xx_models, sov_n_model):
         # the model's pair-weight memo is shared by every configuration it
@@ -300,25 +325,27 @@ def compile_cases(rnd):
 
 
 def distinct_configs(configs):
-    """First configuration of each normalized key, and the key counts."""
+    """First configuration of each `observed_slots` key, and the key counts."""
     first, counts = {}, Counter()
     for config in configs:
-        key = tuple(normalize_symbol(t, r) for t, r in config.elements)
+        key = observed_slots(config)
         first.setdefault(key, config)
         counts[key] += 1
     return list(first.values()), [counts[key] for key in first]
 
 
 def stacked_groups(corpus):
-    """Each group's (rows, owner, ids) read out of its block, in block
-    order, with its block weight.  Row k lists the live states of ordering
-    k, numbered within the group."""
+    """Each group's `observed_slots` key and (rows, owner, ids) read out of
+    its block, in block order (by size, then first seen), with its block
+    weight.  Row k lists the live states of ordering k, numbered within the
+    group."""
+    keys = iter(sorted(corpus.groups, key=lambda key: len(key[0])))
     for states, counts, starts, span, owner, ids, weight in corpus.blocks:
         rows = np.split(states, starts[1:])
         size = len(counts) // len(weight)
         for i in range(len(weight)):
             mine = (owner >= i * span) & (owner < (i + 1) * span)
-            yield ([row - i * span for row in rows[i * size:(i + 1) * size]],
+            yield (next(keys), [row - i * span for row in rows[i * size:(i + 1) * size]],
                    owner[mine] - i * span, ids[mine], weight[i])
 
 
@@ -370,7 +397,8 @@ class TestCompiledRows:
                 assert 0 <= states.min() and states.max() < len(weight) * span
             groups = list(stacked_groups(corpus))
             assert len(groups) == len(in_blocks)
-            for (rows, owner, ids, weight), (config, count) in zip(groups, in_blocks):
+            for (key, rows, owner, ids, weight), (config, count) in zip(groups, in_blocks):
+                assert key == observed_slots(config)
                 assert len(rows) == math.factorial(config.n)
                 assert weight == count / corpus.total
                 fires = [[] for _ in range(int(owner.max()) + 1)]
@@ -397,9 +425,10 @@ class TestCompiledRows:
             corpus = _CompiledCorpus(configs, whitelist)
             assert all(counts.min() >= 1 for _, counts, *_ in corpus.blocks)
             in_blocks = sorted(distinct_configs(configs)[0], key=lambda c: c.n)
-            for (rows, owner, _, _), config in zip(stacked_groups(corpus), in_blocks):
+            for (key, rows, owner, _, _), config in zip(stacked_groups(corpus), in_blocks):
+                assert key == observed_slots(config)
                 sizes.add(config.n)
-                _, table, order_rows, *_ = _states(*features.observed_slots(config))
+                _, table, order_rows, *_ = _states(*key)
                 firing = np.zeros(table.max() + 1, dtype=bool)
                 firing[owner] = True
                 for row, dense in zip(rows, table[order_rows]):
@@ -708,7 +737,6 @@ class TestFreeness:
             == freeness(model_n, model_v, list(reversed(kept)))
 
     def test_undefined_without_dependents(self):
-        from deporder.treebank import DepTree, Token
         tree = DepTree((Token(1, "it", "it", "PRON", head=0, deprel="root"),))
         with pytest.raises(ValueError):
             freeness(UNIFORM, UNIFORM, [tree])
@@ -737,6 +765,21 @@ class TestModelFiles:
             model_from_text("#lang x\n#pos N\n#version 99\n")
         with pytest.raises(ValueError):
             model_from_text("#lang x\n#version 1\n")
+        with pytest.raises(ValueError, match="lacks a #version header"):
+            model_from_text("#lang x\n#pos N\nL.ADJ\t1.0\n")
+
+    def test_h_weight_outside_the_whitelist_stays_silent(self):
+        # such a weight never fires, so a round trip must not make it fire
+        listed = "H.DET.det.NOUN.head.EOS.EOS"
+        model = OrderingModel("l", "N", {"H.BOS.BOS.DET.det.NOUN.head": 3.0,
+                                         listed: 2.0, "L.DET": 0.5},
+                              frozenset({listed}))
+        again = model_from_text(model_to_text(model))
+        assert again.h_whitelist == model.h_whitelist
+        config = LocalConfig((("DET", "det"), ("NOUN", "head")))
+        scores = enumerate_scores(model, config)[1]
+        assert scores.tolist() == [2.5, 0.0]
+        assert enumerate_scores(again, config)[1].tobytes() == scores.tobytes()
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "abc"])
     def test_bad_weight_names_its_line(self, weight):
