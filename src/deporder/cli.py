@@ -27,7 +27,7 @@ from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
                         select_source, tag_sequences, train_trigram,
                         word_sequences)
-from .treebank import (ConlluError, filter_for_generation, is_projective,
+from .treebank import (LANG_ID, ConlluError, filter_for_generation, is_projective,
                        local_configs, parse_conllu, read_split,
                        serialize_conllu, touched_fraction)
 
@@ -56,6 +56,8 @@ def cmd_train(args) -> int:
     from .model import save_model, train, usable_configs
     treebank_dir = Path(args.treebank)
     language = args.lang or treebank_dir.name
+    if not LANG_ID.match(language):  # a spec must be able to name the model files
+        raise SpecError(f"bad language id {language!r}")
     mode = "lenient" if args.lenient else "strict"
     trees = read_split(treebank_dir, language, "train", mode)
     projective = [t for t in trees if is_projective(t)]

@@ -19,8 +19,8 @@ byte for byte).  Writing t for tags and r for relations:
 
 Each non-H full name fires with the two backoff forms shown (tags only,
 relations only), in that order in `symbol_pair_names`.  H features have no
-backoffs and are subject to a whitelist of the most frequent names in
-training data.
+backoffs; training fits only a whitelist of the most frequent names in its
+data (`build_h_whitelist`).
 """
 
 from __future__ import annotations

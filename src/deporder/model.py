@@ -13,7 +13,8 @@ feature ids, once per distinct configuration.  `score` extracts one
 ordering's features directly and is the reference the table is tested
 against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over the
 distinct training configurations, their tables stacked by size with only
-the entries of states that fire a feature kept.
+the entries of states that fire a feature kept.  A model is its weights:
+the H whitelist only picks which windows training fits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from . import features
+from . import DEFAULT_LAMBDA, features
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
                        local_configs)
@@ -57,31 +58,29 @@ class TrainingMeta:
     objective: float
     grad_inf_norm: float
     converged: bool
-    dropped_configs: int = 0
     evaluations: int = 0
 
 
 @dataclass
 class OrderingModel:
-    """Weights for one (language, POS class) pair plus its H-feature whitelist.
+    """Weights for one (language, POS class) pair.
 
-    Features absent from `weights` have weight 0.  H features outside
-    `h_whitelist` never fire.  Neither may change once `enumerate_scores`
-    has kept the model's weights by symbol code, and its scores of heads of
-    up to `MEMO_MAX_N` elements by observed slots, in `_lookup`.
+    Every weight fires, H weights included; features absent from `weights`
+    have weight 0.  The weights may not change once `enumerate_scores` has
+    kept them by symbol code, and its scores of heads of up to `MEMO_MAX_N`
+    elements by observed slots, in `_lookup`.
     """
 
     language: str
     pos_class: str
     weights: dict[str, float]
-    h_whitelist: frozenset[str] = frozenset()
     training_meta: TrainingMeta | None = None
     _lookup: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def score(model: OrderingModel, config: LocalConfig, order: tuple[int, ...]) -> float:
     """Log of the unnormalized probability of one ordering."""
-    counts = features.extract(config, order, model.h_whitelist)
+    counts = features.extract(config, order)
     w = model.weights
     return sum(w.get(name, 0.0) * c for name, c in counts.items())
 
@@ -187,12 +186,13 @@ def _pair_names(key: int) -> tuple[str, ...]:
     return tuple(features.symbol_pair_names(SYMBOLS[a - 1], SYMBOLS[b - 1], *divmod(tail, 2)))
 
 
-def _window_names(whitelist: AbstractSet[str]) -> tuple[np.ndarray, list]:
-    """The whitelisted windows that can fire ("H." and 3 to 5 symbols of
-    `SYMBOLS`): their sorted window codes (see `_states`), then one past
-    every window, and their names in that order, then None."""
+def _window_names(h_names: Iterable[str]) -> tuple[np.ndarray, list]:
+    """The windows among `h_names`, a model's H weight names or a training
+    whitelist, that can fire ("H." and 3 to 5 symbols of `SYMBOLS`): their
+    sorted window codes (see `_states`), then one past every window, and
+    their names in that order, then None."""
     names = {np.iinfo(np.int64).max: None}
-    for name in whitelist:
+    for name in h_names:
         fields = name.split(".")
         digits = [_DIGIT.get(pair) for pair in zip(fields[1::2], fields[2::2])]
         if fields[0] == "H" and None not in digits and len(fields) in (7, 9, 11):
@@ -213,7 +213,7 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     """
     slots, head = features.observed_slots(config)
     if model._lookup is None:  # built once per model, then kept on it
-        index, names = _window_names(model.h_whitelist)
+        index, names = _window_names(n for n in model.weights if n.startswith("H."))
         model._lookup = ({}, index, np.array([model.weights.get(n, 0.0) for n in names]), {})
     pair_weight, index, window_weight, memo = model._lookup
     if slots in memo:
@@ -356,7 +356,6 @@ def train(configs: Sequence[LocalConfig],
     configuration is left to train.
     """
     usable = usable_configs(configs, language, pos_class)
-    dropped = len(configs) - len(usable)
     if whitelist is None:
         whitelist = features.build_h_whitelist(usable)
 
@@ -410,32 +409,28 @@ def train(configs: Sequence[LocalConfig],
     weights = {name: float(theta[i]) for name, i in corpus.name_index.items()
                if theta[i] != 0.0}
     meta = TrainingMeta(iterations, float(value),
-                        float(np.max(np.abs(grad), initial=0.0)), converged,
-                        dropped_configs=dropped, evaluations=evaluations)
-    return OrderingModel(language, pos_class, weights, frozenset(whitelist), meta)
+                        float(np.max(np.abs(grad), initial=0.0)), converged, evaluations)
+    return OrderingModel(language, pos_class, weights, meta)
 
 
 def interpolate(superstrate: OrderingModel, substrate: OrderingModel,
-                lam: float = 0.05) -> OrderingModel:
+                lam: float = DEFAULT_LAMBDA) -> OrderingModel:
     """Per-feature blend (1-lam)*superstrate + lam*substrate over the sparse union.
 
-    The H whitelists are unioned.  lam=0 reproduces the superstrate weights,
-    lam=1 the substrate weights.
+    lam=0 reproduces the superstrate weights, lam=1 the substrate weights;
+    a blended weight of 0 is dropped.
     """
     if superstrate.pos_class != substrate.pos_class:
         raise ValueError(
             f"POS class mismatch: {superstrate.pos_class!r} vs {substrate.pos_class!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"interpolation weight must be in [0, 1], got {lam}")
-    blended: dict[str, float] = {}
-    for name, w in superstrate.weights.items():
-        blended[name] = (1.0 - lam) * w
+    blended = {name: (1.0 - lam) * w for name, w in superstrate.weights.items()}
     for name, w in substrate.weights.items():
         blended[name] = blended.get(name, 0.0) + lam * w
     blended = {name: w for name, w in blended.items() if w != 0.0}
     language = f"{substrate.language}~{superstrate.language}@{superstrate.pos_class}"
-    return OrderingModel(language, superstrate.pos_class, blended,
-                         superstrate.h_whitelist | substrate.h_whitelist)
+    return OrderingModel(language, superstrate.pos_class, blended)
 
 
 def freeness(model_n: OrderingModel, model_v: OrderingModel,
@@ -463,20 +458,14 @@ def freeness(model_n: OrderingModel, model_v: OrderingModel,
 
 
 def model_to_text(model: OrderingModel) -> str:
-    """Line-oriented model file: header, then feature weights in name order.
-
-    The loader whitelists every H line, so the H lines are the whitelist,
-    even at weight zero; an H weight outside it never fires and is not
-    written.  Weights are printed with full precision.
+    """Line-oriented model file: header, then the nonzero feature weights in
+    name order, printed with full precision.  A weight of 0 scores as an
+    absent one, so it is not written.
     """
-    entries = {name: w for name, w in model.weights.items()
-               if w != 0.0 and not name.startswith("H.")}
-    entries.update((name, model.weights.get(name, 0.0)) for name in model.h_whitelist)
     lines = [f"#lang {model.language}",
              f"#pos {model.pos_class}",
              f"#version {MODEL_FORMAT_VERSION}"]
-    for name in sorted(entries):
-        lines.append(f"{name}\t{entries[name]!r}")
+    lines += (f"{name}\t{w!r}" for name, w in sorted(model.weights.items()) if w != 0.0)
     return "\n".join(lines) + "\n"
 
 
@@ -485,7 +474,6 @@ def model_from_text(text: str) -> OrderingModel:
     pos_class = ""
     version = None
     weights: dict[str, float] = {}
-    whitelist: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -512,13 +500,11 @@ def model_from_text(text: str) -> OrderingModel:
             if name in weights:
                 raise ValueError(f"line {lineno}: repeated feature {name!r}")
             weights[name] = weight
-            if name.startswith("H."):
-                whitelist.add(name)
     if not pos_class:
         raise ValueError("model file lacks a #pos header")
     if version is None:
         raise ValueError("model file lacks a #version header")
-    return OrderingModel(language, pos_class, weights, frozenset(whitelist))
+    return OrderingModel(language, pos_class, weights)
 
 
 def save_model(model: OrderingModel, path: str | Path) -> None:

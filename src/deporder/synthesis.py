@@ -21,13 +21,12 @@ import numpy as np
 
 from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
-from .treebank import (DepTree, LocalConfig, Token, children_map,
+from .treebank import (LANG_ID, DepTree, LocalConfig, Token, children_map,
                        generation_drop_reason, local_configs, read_split,
                        serialize_conllu)
 
 SPLITS = ("train", "dev", "test")
 
-_LANG_ID = re.compile(r"^[A-Za-z0-9_]+$")
 _DEPS_ENTRY = re.compile(r"^(\d+):(.+)$")
 
 
@@ -43,7 +42,7 @@ class LanguageSpec:
 
     def __post_init__(self):
         for lang in (self.substrate, self.superstrate_n, self.superstrate_v):
-            if lang is not None and not _LANG_ID.match(lang):
+            if lang is not None and not LANG_ID.match(lang):
                 raise SpecError(f"bad language id {lang!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise SpecError(f"interpolation weight must be in [0, 1], got {self.lam}")

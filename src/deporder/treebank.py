@@ -50,6 +50,7 @@ MAX_GENERATION_FANOUT = MAX_N
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _DECIMAL_ID = re.compile(r"^\d+\.\d+$")
 _SENT_ID = re.compile(r"^#\s*sent_id\s*[=:]?\s*(\S+)\s*$")
+LANG_ID = re.compile(r"^[A-Za-z0-9_]+$")  # a language id that a spec can name
 
 
 class ConlluError(ValueError):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deporder.model import enumerate_scores, save_model, train
+from deporder.features import build_h_whitelist
+from deporder.model import MAX_TRAIN_SIZE, enumerate_scores, save_model, train
 from deporder.treebank import is_projective, local_configs, parse_conllu
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,10 +33,22 @@ def chain_conllu(length):
                    "\t_\t_\n" for i in range(1, length + 1)) + "\n"
 
 
-def train_fixture_model(language, pos_class):
+def fixture_configs(language, pos_class):
+    """The configurations of a fixture language's projective train trees."""
     trees = [t for t in load_split(language) if is_projective(t)]
-    configs = [c for t in trees for c in local_configs(t, pos_class)]
-    return train(configs, None, language=language, pos_class=pos_class)
+    return [c for t in trees for c in local_configs(t, pos_class)]
+
+
+def train_fixture_model(language, pos_class):
+    return train(fixture_configs(language, pos_class), None,
+                 language=language, pos_class=pos_class)
+
+
+def fixture_training_inputs(language, pos_class):
+    """The configurations `train_fixture_model` fits and the H whitelist
+    `train` derives from them, which picks the windows it fits."""
+    usable = [c for c in fixture_configs(language, pos_class) if c.n <= MAX_TRAIN_SIZE]
+    return usable, build_h_whitelist(usable)
 
 
 @pytest.fixture(scope="session")

@@ -51,9 +51,7 @@ def random_model(rnd, config, n_weights=12):
     names = sorted(set(extract(config, tuple(range(1, config.n + 1))))
                    | set(extract(config, tuple(range(config.n, 0, -1)))))
     chosen = rnd.sample(names, min(n_weights, len(names)))
-    weights = {name: rnd.gauss(0.0, 1.0) for name in chosen}
-    whitelist = frozenset(n for n in names if n.startswith("H."))
-    return OrderingModel("rand", "N", weights, whitelist)
+    return OrderingModel("rand", "N", {name: rnd.gauss(0.0, 1.0) for name in chosen})
 
 
 def test_criterion_01_sjt_correctness():
@@ -104,8 +102,8 @@ def test_criterion_04_gradient_check():
         config = random_config(rnd, rnd.randint(2, 4))
         model = random_model(rnd, config, n_weights=6)
         # training's gradient on a one-configuration corpus: observed minus
-        # expected feature counts
-        corpus = _CompiledCorpus([config], model.h_whitelist)
+        # expected feature counts, over the windows the model's H weights name
+        corpus = _CompiledCorpus([config], {n for n in model.weights if n.startswith("H.")})
         _, grad = corpus.objective_and_gradient(
             np.array([model.weights.get(name, 0.0) for name in corpus.name_index]))
         gradient = dict(zip(corpus.name_index, grad.tolist()))
@@ -114,10 +112,8 @@ def test_criterion_04_gradient_check():
             hi, lo = dict(model.weights), dict(model.weights)
             hi[name] += step
             lo[name] -= step
-            fd = (log_likelihood(OrderingModel("t", "N", hi, model.h_whitelist),
-                                 config)
-                  - log_likelihood(OrderingModel("t", "N", lo, model.h_whitelist),
-                                   config)) / (2 * step)
+            fd = (log_likelihood(OrderingModel("t", "N", hi), config)
+                  - log_likelihood(OrderingModel("t", "N", lo), config)) / (2 * step)
             assert abs(analytic - fd) / max(1.0, abs(analytic), abs(fd)) < 1e-4
     announce(4, "analytic gradient matches central differences on 50 instances")
 
@@ -126,8 +122,7 @@ def test_criterion_05_sampler_exactness():
     config = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
     model = OrderingModel("hand", "N",
                           {"L.DET.det": 0.7, "A.ADJ.amod.NOUN.head": -0.9,
-                           "l.DET.ADJ": 0.4},
-                          frozenset())
+                           "l.DET.ADJ": 0.4})
     orders, scores = enumerate_scores(model, config)
     logz = log_partition(model, config)
     exact = {o: math.exp(s - logz) for o, s in zip(orders, scores)}
@@ -140,8 +135,7 @@ def test_criterion_05_sampler_exactness():
     assert result.pvalue > 0.001, result
 
     pair = LocalConfig((("DET", "det"), ("X", "head")))
-    pair_model = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0},
-                               frozenset())
+    pair_model = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0})
     rng = RngStream("acceptance-two")
     freq = sum(sample_ordering(pair_model, pair, rng) == (1, 2)
                for _ in range(10_000)) / 10_000
@@ -154,8 +148,7 @@ def test_criterion_06_training_sanity():
     true_model = OrderingModel(
         "truth", "N",
         {"L.DET.det": 0.8, "A.NOUN.head.EOS.EOS": -0.5, "L.ADJ.amod": 0.3,
-         "A.BOS.BOS.DET.det": 0.4},
-        frozenset())
+         "A.BOS.BOS.DET.det": 0.4})
     shapes = [
         (("DET", "det"), ("NOUN", "head")),
         (("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")),

@@ -76,6 +76,31 @@ class TestTrainCommand:
         assert code == EXIT_MISSING_INPUT
         assert "missing" in err
 
+    def test_language_id_no_spec_can_name(self, tmp_path, capsys):
+        # UD directory names such as UD_English-EWT hold a hyphen, which no
+        # spec can name, so the id is refused before anything is read
+        treebank = tmp_path / "en-x"
+        treebank.mkdir()
+        shutil.copy(UD_ROOT / "xx" / "xx-ud-train.conllu", treebank / "en-x-ud-train.conllu")
+        code, out, err = run(capsys, "train", "--treebank", str(treebank),
+                             "--out", str(tmp_path / "models"))
+        assert (code, err, out) == (EXIT_MISMATCH, "error: bad language id 'en-x'\n", "")
+        assert not (tmp_path / "models").exists()
+
+    def test_lang_names_a_hyphenated_treebank(self, tmp_path, capsys):
+        treebank, data = tmp_path / "UD_En-x", tmp_path / "data" / "en_x"
+        treebank.mkdir()
+        data.mkdir(parents=True)
+        for split in ("train", "dev", "test"):
+            shutil.copy(UD_ROOT / "xx" / f"xx-ud-{split}.conllu", data / f"en_x-ud-{split}.conllu")
+        shutil.copy(data / "en_x-ud-train.conllu", treebank)
+        code, _, _ = run(capsys, "train", "--treebank", str(treebank), "--lang", "en_x",
+                         "--out", str(tmp_path / "models"))
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "permute", "--spec", "en_x~en_x@N", "--data", str(data.parent),
+                           "--models", str(tmp_path / "models"), "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_OK, f"{tmp_path / 'out' / 'en_x~en_x@N'}\n")
+
     def test_untrainable_class_writes_nothing(self, tmp_path, capsys):
         treebank = tmp_path / "nouns"
         treebank.mkdir()

@@ -18,11 +18,11 @@ from deporder.synthesis import RngStream, sample_ordering
 from deporder.treebank import (DepTree, LocalConfig, Token, filter_for_generation,
                                is_projective, local_configs)
 
-from conftest import load_split, log_partition, train_fixture_model
+from conftest import fixture_training_inputs, load_split, log_partition, train_fixture_model
 
 SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
 DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
-DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0}, frozenset())
+DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0})
 UNIFORM = OrderingModel("u", "N", {})  # all-zero weights
 
 TAGS = ["DET", "ADJ", "NOUN", "ADV", "VERB", "ADP", "PRON"]
@@ -37,16 +37,13 @@ def random_config(rnd, n):
     return LocalConfig(elements)
 
 
-def random_model(rnd, config, n_weights=15, with_h=True):
+def random_model(rnd, config, n_weights=15):
     """Random weights over features that actually fire for this configuration."""
     names = set(extract(config, tuple(range(1, config.n + 1))))
     shuffled = tuple(rnd.sample(range(1, config.n + 1), config.n))
     names |= set(extract(config, shuffled))
     chosen = rnd.sample(sorted(names), min(n_weights, len(names)))
-    weights = {name: rnd.gauss(0.0, 1.0) for name in chosen}
-    whitelist = frozenset(n for n in names if n.startswith("H.")) if with_h \
-        else frozenset()
-    return OrderingModel("rand", "N", weights, whitelist)
+    return OrderingModel("rand", "N", {name: rnd.gauss(0.0, 1.0) for name in chosen})
 
 
 def brute_force_logz(model, config):
@@ -56,12 +53,14 @@ def brute_force_logz(model, config):
     return m + math.log(sum(math.exp(s - m) for s in scores))
 
 
-def brute_force_expectation(model, config):
+def brute_force_expectation(model, config, whitelist=None):
+    """The log-partition and the expected feature counts, H features
+    restricted to `whitelist` (None keeps all)."""
     logz = brute_force_logz(model, config)
     acc = {}
     for perm in itertools.permutations(range(1, config.n + 1)):
         p = math.exp(score(model, config, perm) - logz)
-        for name, count in extract(config, perm, model.h_whitelist).items():
+        for name, count in extract(config, perm, whitelist).items():
             acc[name] = acc.get(name, 0.0) + p * count
     return logz, acc
 
@@ -75,8 +74,9 @@ def fired_h_names(configs):
 
 def corpus_gradient(model, config):
     """The gradient by name of a one-configuration corpus's log-likelihood
-    at the model's weights: observed minus expected feature counts."""
-    corpus = _CompiledCorpus([config], model.h_whitelist)
+    at the model's weights, every window it fires whitelisted: observed
+    minus expected feature counts."""
+    corpus = _CompiledCorpus([config], fired_h_names([config]))
     theta = np.array([model.weights.get(name, 0.0) for name in corpus.name_index])
     _, grad = corpus.objective_and_gradient(theta)
     return dict(zip(corpus.name_index, grad.tolist()))
@@ -84,7 +84,7 @@ def corpus_gradient(model, config):
 
 def corpus_expectation(model, config):
     """Expected feature counts: observed counts minus `corpus_gradient`."""
-    observed = extract(config, tuple(range(1, config.n + 1)), model.h_whitelist)
+    observed = extract(config, tuple(range(1, config.n + 1)))
     return {name: observed.get(name, 0) - g
             for name, g in corpus_gradient(model, config).items()}
 
@@ -95,11 +95,11 @@ class TestScore:
             assert score(UNIFORM, SUBTREE, perm) == 0.0
 
     def test_single_feature_fires(self):
-        model = OrderingModel("t", "N", {"L.DET.det": 2.0}, frozenset())
+        model = OrderingModel("t", "N", {"L.DET.det": 2.0})
         assert score(model, SUBTREE, (1, 2, 3)) == 2.0
 
     def test_single_feature_silent(self):
-        model = OrderingModel("t", "N", {"L.DET.det": 2.0}, frozenset())
+        model = OrderingModel("t", "N", {"L.DET.det": 2.0})
         assert score(model, SUBTREE, (3, 1, 2)) == 0.0  # DET right of head
 
 
@@ -127,10 +127,10 @@ class TestIncrementalScoring:
             assert abs(score(model, config, orders[k]) - scores[k]) < 1e-9
 
 
-# Whitelisted names that no window can fire: not H (one with the fields of
-# a lone head's window), too few or too many fields, an odd field count (one
-# a lone head's window plus a field), six symbols, an unknown tag or
-# relation, a sentinel out of place.
+# Weight or whitelist names that no window can fire: not H (one with the
+# fields of a lone head's window), too few or too many fields, an odd field
+# count (one a lone head's window plus a field), six symbols, an unknown tag
+# or relation, a sentinel out of place.
 NEVER_FIRING = frozenset({
     "", "H", "H.a", "L.DET.det", "L.BOS.BOS.NOUN.head.EOS.EOS",
     "H.DET.det.NOUN.head", "H.DET.det.NOUN.head.EOS", "H.BOS.BOS.NOUN.head.EOS.EOS.x",
@@ -142,10 +142,11 @@ NEVER_FIRING = frozenset({
 
 def name_table_scores(model, *configs):
     """Every ordering's score from the names a corpus of `configs`, which
-    must compile to one group, gives its states under the model's H
-    whitelist: weights added per state by `np.bincount`, then each
-    ordering's states, dead ones included, gathered and summed."""
-    corpus = _CompiledCorpus(configs, model.h_whitelist)
+    must compile to one group, gives its states with the model's H weight
+    names whitelisted, as every weight fires: weights added per state by
+    `np.bincount`, then each ordering's states, dead ones included, gathered
+    and summed."""
+    corpus = _CompiledCorpus(configs, {n for n in model.weights if n.startswith("H.")})
     assert corpus.groups == [observed_slots(configs[0])] and corpus.total == len(configs)
     (*_, span, owner, ids, _), = corpus.blocks
     _, table, rows, *_ = _states(*corpus.groups[0])
@@ -159,17 +160,17 @@ def name_table_scores(model, *configs):
     return tuple(sjt_enumerate(configs[0].n)), scores
 
 
-def whitelist_models(rnd, config):
+def h_weight_models(rnd, config):
     """Models with random weights on a third of the names `config` fires
-    and on names that never fire, under the H whitelists: every H name it
-    fires, none, and a random half of them plus `NEVER_FIRING`.  H weights
-    outside the whitelist must stay silent."""
+    and on `NEVER_FIRING`.  Of the weights on fired H names, they keep all,
+    none, and those on a random half of the H names `config` fires."""
     fired = sorted(_CompiledCorpus([config], fired_h_names([config])).name_index)
     h_names = [name for name in fired if name.startswith("H.")]
     weights = {name: rnd.gauss(0.0, 1.0) for name in rnd.sample(fired, len(fired) // 3)}
     weights |= {name: rnd.gauss(0.0, 1.0) for name in NEVER_FIRING}
-    for whitelist in (h_names, (), rnd.sample(h_names, len(h_names) // 2) + [*NEVER_FIRING]):
-        yield OrderingModel("rand", "N", weights, frozenset(whitelist))
+    for kept in (h_names, (), rnd.sample(h_names, len(h_names) // 2)):
+        yield OrderingModel("rand", "N", {name: w for name, w in weights.items()
+                                          if name in kept or name not in h_names})
 
 
 def alike_pairs():
@@ -201,7 +202,7 @@ class TestSymbolCodedScores:
     def test_bit_identical_to_the_name_table(self):
         rnd = random.Random(83)
         for config in coded_cases(rnd):
-            for model in whitelist_models(rnd, config):
+            for model in h_weight_models(rnd, config):
                 orders, scores = enumerate_scores(model, config)
                 ref_orders, ref_scores = name_table_scores(model, config)
                 assert orders == ref_orders
@@ -212,7 +213,7 @@ class TestSymbolCodedScores:
         # whose scores are each one's
         for pair in alike_pairs():
             assert pair[0].elements != pair[1].elements
-            for model in whitelist_models(rnd, pair[0]):
+            for model in h_weight_models(rnd, pair[0]):
                 ref_scores = name_table_scores(model, *pair)[1]
                 for config in pair:
                     assert enumerate_scores(model, config)[1].tobytes() == ref_scores.tobytes()
@@ -239,7 +240,7 @@ class TestSymbolCodedScores:
         kept = filter_for_generation(xx_train_trees)
         configs = [c for t in kept for c in local_configs(t, "N")]
         usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
-        whitelist = xx_models[0].h_whitelist
+        whitelist = fixture_training_inputs("xx", "N")[1]
         # fresh models, so their symbol-coded weights are built under the patch
         model_n = interpolate(sov_n_model, xx_models[0])
         model_v = interpolate(xx_models[1], xx_models[1], 0.0)
@@ -352,12 +353,11 @@ def stacked_groups(corpus):
 def reference_objective(configs, whitelist, theta):
     """Mean log-likelihood and its gradient by feature name, configuration
     by configuration, by brute force over every ordering."""
-    model = OrderingModel("t", "N", theta, frozenset(
-        n for n in theta if n.startswith("H.")))
+    model = OrderingModel("t", "N", theta)
     value, grad = 0.0, Counter()
     for config in configs:
         identity = tuple(range(1, config.n + 1))
-        logz, expected = brute_force_expectation(model, config)
+        logz, expected = brute_force_expectation(model, config, whitelist)
         value += (score(model, config, identity) - logz) / len(configs)
         observed = extract(config, identity, whitelist)
         for name in expected.keys() | observed.keys():
@@ -494,7 +494,7 @@ class TestPartition:
         assert abs(logz - math.log(6)) < 1e-12
         mean = {}
         for perm in itertools.permutations((1, 2, 3)):
-            for name, c in extract(SUBTREE, perm, frozenset()).items():
+            for name, c in extract(SUBTREE, perm).items():
                 mean[name] = mean.get(name, 0.0) + c / 6.0
         for name in set(mean) | set(expected):
             assert abs(mean.get(name, 0.0) - expected.get(name, 0.0)) < 1e-12
@@ -577,10 +577,8 @@ class TestGradient:
                 hi[name] += step
                 lo = dict(model.weights)
                 lo[name] -= step
-                ll_hi = log_likelihood(
-                    OrderingModel("t", "N", hi, model.h_whitelist), config)
-                ll_lo = log_likelihood(
-                    OrderingModel("t", "N", lo, model.h_whitelist), config)
+                ll_hi = log_likelihood(OrderingModel("t", "N", hi), config)
+                ll_lo = log_likelihood(OrderingModel("t", "N", lo), config)
                 fd = (ll_hi - ll_lo) / (2 * step)
                 denom = max(1.0, abs(analytic[name]), abs(fd))
                 assert abs(analytic[name] - fd) / denom < 1e-4
@@ -620,8 +618,8 @@ class TestTrain:
 
     def test_large_configs_dropped(self):
         big = LocalConfig(tuple([("ADJ", "amod")] * 6 + [("NOUN", "head")]))
-        model = train([DET_PAIR] * 4 + [big], set())
-        assert model.training_meta.dropped_configs == 1
+        assert model_to_text(train([DET_PAIR] * 4 + [big], set())) \
+            == model_to_text(train([DET_PAIR] * 4, set()))
         with pytest.raises(ValueError):
             train([big], set())  # nothing usable left
 
@@ -647,10 +645,7 @@ class TestTrain:
     @pytest.mark.parametrize("pos_class", ["N", "V"])
     def test_saved_model_is_stationary(self, fixture_model_dir, language, pos_class):
         model = load_model(fixture_model_dir / f"{language}-{pos_class}.model")
-        trees = [t for t in load_split(language) if is_projective(t)]
-        configs = [c for t in trees for c in local_configs(t, pos_class)
-                   if c.n <= MAX_TRAIN_SIZE]
-        corpus = _CompiledCorpus(configs, model.h_whitelist)
+        corpus = _CompiledCorpus(*fixture_training_inputs(language, pos_class))
         theta = np.array([model.weights.get(name, 0.0) for name in corpus.name_index])
         _, grad = corpus.objective_and_gradient(theta)
         penalized = grad - PRIOR / corpus.total * theta
@@ -658,11 +653,9 @@ class TestTrain:
 
     def test_matches_scipy_on_the_penalized_objective(self):
         minimize = pytest.importorskip("scipy.optimize").minimize
-        trees = [t for t in load_split("xx") if is_projective(t)]
-        configs = [c for t in trees for c in local_configs(t, "N")
-                   if c.n <= MAX_TRAIN_SIZE]
+        configs, whitelist = fixture_training_inputs("xx", "N")
         model = train(configs, None)
-        corpus = _CompiledCorpus(configs, model.h_whitelist)
+        corpus = _CompiledCorpus(configs, whitelist)
         precision = PRIOR / corpus.total
 
         def negated(theta):
@@ -678,36 +671,36 @@ class TestTrain:
         assert abs(model.training_meta.objective + result.fun) < 1e-8
 
     def test_derived_whitelist(self):
-        model = train([SUBTREE] * 5)  # whitelist defaults to the top observed H names
-        assert model.h_whitelist
-        assert all(n.startswith("H.") for n in model.h_whitelist)
+        # the whitelist defaults to the top observed H names, and only they get weights
+        configs = [SUBTREE] * 5
+        h_weights = {n for n in train(configs).weights if n.startswith("H.")}
+        assert h_weights and h_weights <= features.build_h_whitelist(configs)
 
 
 class TestInterpolate:
-    A = OrderingModel("ra", "N", {"a": 1.0}, frozenset({"H.a"}))
-    B = OrderingModel("rb", "N", {"b": 2.0}, frozenset({"H.b"}))
+    A = OrderingModel("ra", "N", {"a": 1.0, "H.a": 0.5})
+    B = OrderingModel("rb", "N", {"b": 2.0, "H.b": -1.0})
 
     def test_superstrate_only(self):
-        out = interpolate(self.A, self.B, 0.0)
-        assert out.weights == {"a": 1.0}
-        assert out.h_whitelist == {"H.a", "H.b"}
+        # H weights blend like any other, so the substrate's go at lam=0
+        assert interpolate(self.A, self.B, 0.0).weights == {"a": 1.0, "H.a": 0.5}
 
     def test_substrate_only(self):
-        assert interpolate(self.A, self.B, 1.0).weights == {"b": 2.0}
+        assert interpolate(self.A, self.B, 1.0).weights == {"b": 2.0, "H.b": -1.0}
 
     def test_blend(self):
-        out = interpolate(self.A, self.B, 0.05)
-        assert out.weights == pytest.approx({"a": 0.95, "b": 0.1})
+        out = interpolate(self.A, self.B)  # lam defaults to 0.05
+        assert out.weights == pytest.approx({"a": 0.95, "H.a": 0.475, "b": 0.1, "H.b": -0.05})
 
     def test_shared_feature(self):
-        a = OrderingModel("ra", "N", {"x": 2.0}, frozenset())
-        b = OrderingModel("rb", "N", {"x": -2.0}, frozenset())
+        a = OrderingModel("ra", "N", {"x": 2.0})
+        b = OrderingModel("rb", "N", {"x": -2.0})
         out = interpolate(a, b, 0.25)
         assert out.weights == pytest.approx({"x": 1.0})
 
     def test_class_mismatch(self):
         with pytest.raises(ValueError):
-            interpolate(self.A, OrderingModel("rb", "V", {}, frozenset()))
+            interpolate(self.A, OrderingModel("rb", "V", {}))
 
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -749,16 +742,16 @@ class TestModelFiles:
         assert model_to_text(again) == text
         assert again.language == sov_v_model.language
         assert again.pos_class == sov_v_model.pos_class
-        assert again.h_whitelist == sov_v_model.h_whitelist
-        nonzero = {k: v for k, v in sov_v_model.weights.items() if v != 0.0}
-        for name, weight in nonzero.items():
-            assert again.weights[name] == weight
+        assert again.weights == sov_v_model.weights  # every trained weight is nonzero
 
-    def test_whitelist_survives_at_zero_weight(self):
-        model = OrderingModel("l", "N", {}, frozenset({"H.BOS.BOS.X.head"}))
+    def test_no_zero_weight_is_written(self):
+        # a weight of 0 scores as an absent one, whatever its prefix
+        model = OrderingModel("l", "N", {"H.BOS.BOS.X.head.EOS.EOS": 0.0, "L.DET.det": 0.0,
+                                         "A.BOS.BOS.DET.det": -0.0, "l.DET.ADJ": 0.0,
+                                         "L.ADJ": 1.0})
         text = model_to_text(model)
-        assert "H.BOS.BOS.X.head\t0.0" in text
-        assert model_from_text(text).h_whitelist == {"H.BOS.BOS.X.head"}
+        assert text == "#lang l\n#pos N\n#version 1\nL.ADJ\t1.0\n"
+        assert model_to_text(model_from_text(text)) == text
 
     def test_header_checks(self):
         with pytest.raises(ValueError):
@@ -768,18 +761,35 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="lacks a #version header"):
             model_from_text("#lang x\n#pos N\nL.ADJ\t1.0\n")
 
-    def test_h_weight_outside_the_whitelist_stays_silent(self):
-        # such a weight never fires, so a round trip must not make it fire
-        listed = "H.DET.det.NOUN.head.EOS.EOS"
+    def test_hand_built_scores_survive_a_round_trip(self):
+        # every weight fires, H weights included, before and after a save and load
         model = OrderingModel("l", "N", {"H.BOS.BOS.DET.det.NOUN.head": 3.0,
-                                         listed: 2.0, "L.DET": 0.5},
-                              frozenset({listed}))
+                                         "H.DET.det.NOUN.head.EOS.EOS": 2.0,
+                                         "H.BOS.BOS.NOUN.head.EOS.EOS": 1.5,
+                                         "L.DET": 0.5, "L.ADJ": 0.0, "H.a": 4.0})
         again = model_from_text(model_to_text(model))
-        assert again.h_whitelist == model.h_whitelist
-        config = LocalConfig((("DET", "det"), ("NOUN", "head")))
-        scores = enumerate_scores(model, config)[1]
-        assert scores.tolist() == [2.5, 0.0]
-        assert enumerate_scores(again, config)[1].tobytes() == scores.tobytes()
+        lone = LocalConfig((("NOUN", "head"),))
+        pair = LocalConfig((("DET", "det"), ("NOUN", "head")))
+        assert enumerate_scores(model, lone)[1].tolist() == [1.5]
+        assert enumerate_scores(model, pair)[1].tolist() == [5.5, 0.0]
+        for config in (lone, pair, SUBTREE, random_config(random.Random(13), 5)):
+            assert enumerate_scores(again, config)[1].tobytes() \
+                == enumerate_scores(model, config)[1].tobytes()
+
+    def test_reads_1_10_0_files(self, xx_models):
+        # 1.10.0 also wrote a trained model's whitelisted windows at weight 0;
+        # in xx-N those were the windows only a lone head fires
+        text = model_to_text(xx_models[0])
+        lines = text.splitlines(keepends=True)
+        body = lines[3:] + [f"H.BOS.BOS.{tag}.head.EOS.EOS\t0.0\n" for tag in ("NOUN", "PRON", "PROPN")]
+        old = model_from_text("".join(lines[:3] + sorted(body, key=lambda line: line.split("\t")[0])))
+        assert model_to_text(old) == text
+        configs = [LocalConfig(((tag, "head"),)) for tag in ("NOUN", "PRON", "PROPN")]
+        configs += [c for t in load_split("xx") for c in local_configs(t, "N") if c.n <= 5]
+        assert {c.n for c in configs} == set(range(1, 6))
+        for config in configs:
+            assert enumerate_scores(old, config)[1].tobytes() \
+                == enumerate_scores(xx_models[0], config)[1].tobytes()
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "abc"])
     def test_bad_weight_names_its_line(self, weight):

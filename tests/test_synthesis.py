@@ -22,7 +22,7 @@ from deporder.treebank import (DepTree, LocalConfig, Token,
 from conftest import UD_ROOT, chain_conllu, load_split, log_partition
 
 DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
-DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0}, frozenset())
+DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0})
 
 
 class TestLanguageSpec:
@@ -118,8 +118,7 @@ class TestSampleOrdering:
         config = LocalConfig((("NOUN", "nsubj"), ("VERB", "head"),
                               ("NOUN", "dobj")))
         model = OrderingModel("t", "V",
-                              {"L.NOUN.nsubj": 0.9, "A.VERB.head.EOS.EOS": -0.4},
-                              frozenset())
+                              {"L.NOUN.nsubj": 0.9, "A.VERB.head.EOS.EOS": -0.4})
         orders, scores = enumerate_scores(model, config)
         logz = log_partition(model, config)
         exact = {o: math.exp(s - logz) for o, s in zip(orders, scores)}
@@ -308,9 +307,9 @@ class TestSynthesizeLanguage:
         assert not (out / "manifest.tsv").exists()
 
     def test_load_language_models_checks_class(self, tmp_path):
-        save_model(OrderingModel("zz", "V", {}, frozenset()),
+        save_model(OrderingModel("zz", "V", {}),
                    tmp_path / "zz-N.model")
-        save_model(OrderingModel("zz", "V", {}, frozenset()),
+        save_model(OrderingModel("zz", "V", {}),
                    tmp_path / "zz-V.model")
         with pytest.raises(SpecError):
             load_language_models(tmp_path, "zz")
