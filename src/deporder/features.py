@@ -40,6 +40,7 @@ H_MIN_SPAN = 2  # slot distance j - i, i.e. 3 slots
 H_MAX_SPAN = 4  # 5 slots
 
 
+@lru_cache(maxsize=None)  # one entry per distinct (tag, relation) of the input
 def normalize_symbol(tag: str, relation: str) -> tuple[str, str]:
     """Bucket a (tag, relation) pair into the closed feature alphabet.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
@@ -201,6 +201,16 @@ def _window_names(h_names: Iterable[str]) -> tuple[np.ndarray, list]:
     return np.array(codes, dtype=np.int64), [names[code] for code in codes]
 
 
+class _Scored(tuple):
+    """(orders, scores), as `enumerate_scores` returns them."""
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Running sums of the orderings' normalized probabilities, for sampling."""
+        weights = np.exp(self[1] - self[1].max())
+        return np.cumsum(weights / weights.sum())
+
+
 def enumerate_scores(model: OrderingModel, config: LocalConfig
                      ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """All n! orderings in SJT order with their scores.
@@ -208,10 +218,13 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
     The first ordering is the identity (the configuration's observed order).
     The orderings are `_sjt_table`'s own tuple, shared by every call for n.
     The scores are read-only: a configuration of at most `MEMO_MAX_N`
-    elements gets the very array the model's first call for its observed
-    slots computed.
+    elements gets the very pair the model's first call for its observed
+    slots returned, and with it the `cdf` that pair's first draw computed.
     """
-    slots, head = features.observed_slots(config)
+    key = vars(config).get("observed_slots")  # kept on the configuration once built
+    if key is None:
+        key = vars(config)["observed_slots"] = features.observed_slots(config)
+    slots, head = key
     if model._lookup is None:  # built once per model, then kept on it
         index, names = _window_names(n for n in model.weights if n.startswith("H."))
         model._lookup = ({}, index, np.array([model.weights.get(n, 0.0) for n in names]), {})
@@ -234,9 +247,10 @@ def enumerate_scores(model: OrderingModel, config: LocalConfig
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
     scores = scores[rows]
     scores.flags.writeable = False
+    scored = _Scored((orders, scores))
     if config.n <= MEMO_MAX_N:
-        memo[slots] = orders, scores
-    return orders, scores
+        memo[slots] = scored
+    return scored
 
 
 def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
@@ -440,7 +454,8 @@ def freeness(model_n: OrderingModel, model_v: OrderingModel,
     Averages -log2 p(observed order) over every N and V head in the trees and
     divides by the matching average of log2 n!.  Heads with no dependents
     contribute zero to both sums.  Near 0 means rigid order, 1 means the
-    models do no better than uniform.
+    models do no better than uniform, and above 1 they predict the observed
+    orders worse than uniform does.
     """
     numerator: list[float] = []
     denominator: list[float] = []

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
-from .treebank import (LANG_ID, DepTree, LocalConfig, Token, children_map,
-                       generation_drop_reason, local_configs, read_split,
-                       serialize_conllu)
+from .treebank import (LANG_ID, DepTree, LocalConfig, children_map,
+                       generation_drop_reason, local_configs, parse_conllu, read_split)
 
 SPLITS = ("train", "dev", "test")
 
@@ -107,40 +106,52 @@ def sample_ordering(model: OrderingModel, config: LocalConfig,
     """
     if config.n == 1:
         return (1,)
-    orders, scores = enumerate_scores(model, config)
-    weights = np.exp(scores - scores.max())
-    probs = weights / weights.sum()
-    k = int(np.searchsorted(np.cumsum(probs), rng.uniform(), side="left"))
-    return orders[min(k, len(orders) - 1)]
-
-
-def _append_misc(misc: str, key: str, value) -> str:
-    entry = f"{key}={value}"
-    return entry if misc == "_" else f"{misc}|{entry}"
-
-
-def _remap_deps(deps: str, index_map: dict[int, int]) -> str:
-    # Whole field is cleared unless every entry is plain <digits>:<relation>
-    # with a remappable head.
-    if deps == "_":
-        return "_"
-    out = []
-    for entry in deps.split("|"):
-        m = _DEPS_ENTRY.match(entry)
-        if not m or int(m.group(1)) not in index_map:
-            return "_"
-        out.append(f"{index_map[int(m.group(1))]}:{m.group(2)}")
-    return "|".join(out)
+    scored = enumerate_scores(model, config)
+    k = int(np.searchsorted(scored.cdf, rng.uniform(), side="left"))
+    return scored[0][min(k, len(scored[0]) - 1)]
 
 
 def _prepare(tree: DepTree) -> tuple:
-    """(tree, its generation drop reason, and if kept its dependents by head
-    and its N and V configurations): what permuting it reads, whatever the models."""
+    """What permuting `tree` reads, whatever the models, worked out once:
+    (source id, drop reason, plan), a kept tree's plan being (its comments'
+    text, its tokens' fields, its heads in visiting order, its range line
+    count, its count of deps fields cleared).  A token's fields are columns
+    2 to 6 joined, head, relation, deps as (head, relation) entries ("_"
+    unless every entry is `<digits>:<relation>` with a head in the tree,
+    which no reordering changes), and misc with `OrigIdx=`.  A head is (index,
+    units: itself and its dependents in surface order with their subtrees'
+    sizes, and the class index and configuration it is sampled with, or None)."""
     reason = generation_drop_reason(tree)
     if reason is not None:
-        return tree, reason, None, ()
-    return tree, None, children_map(tree), (local_configs(tree, "N"),
-                                            local_configs(tree, "V"))
+        return tree.source_id, reason, None
+    sampled = {config.source[1]: (k, config) for k, pos_class in enumerate("NV")
+               for config in local_configs(tree, pos_class) if config.n > 1}
+    dependents = {k: [t.index for t in deps] for k, deps in children_map(tree).items()}
+    # depth-first from the root, children in surface order: the order of the
+    # draws; explicit stacks rather than recursion, so a tree of any depth fits
+    visits, stack = [], [tree.root.index]
+    while stack:
+        visits.append(stack.pop())
+        stack.extend(reversed(dependents.get(visits[-1], ())))
+    size = [1] * (len(tree) + 1)
+    for k in reversed(visits):
+        size[tree.tokens[k - 1].head] += size[k]
+    heads = [(k, tuple((u, 1 if u == k else size[u]) for u in sorted(dependents[k] + [k])),
+              sampled.get(k)) for k in visits if k in dependents]
+    fields, cleared = [], 0
+    for tok in tree.tokens:
+        deps = tok.deps
+        if deps != "_":
+            entries = [_DEPS_ENTRY.match(entry) for entry in deps.split("|")]
+            if all(m and int(m[1]) <= len(tree) for m in entries):
+                deps = tuple((int(m[1]), m[2]) for m in entries)
+            else:
+                deps, cleared = "_", cleared + 1
+        fields.append((f"{tok.form}\t{tok.lemma}\t{tok.upos}\t{tok.xpos}\t{tok.feats}",
+                       tok.head, tok.deprel, deps,
+                       ("" if tok.misc == "_" else f"{tok.misc}|") + f"OrigIdx={tok.index}"))
+    comments = "".join(line + "\n" for line in tree.comments)
+    return tree.source_id, None, (comments, fields, heads, len(tree.ranges), cleared)
 
 
 def permute_tree(tree: DepTree, model_n: OrderingModel | None,
@@ -153,55 +164,36 @@ def permute_tree(tree: DepTree, model_n: OrderingModel | None,
     Indices are reassigned left to right, heads remapped, and every token's
     misc field gains `OrigIdx=<original index>`.  A None model leaves that
     class in its original order.  Multiword range lines do not survive
-    reordering and are dropped.
+    reordering and are dropped.  The result is the parse of the text that
+    `synthesize_language` writes for the tree, with the tree's source id.
     """
-    return _permute(_prepare(tree), model_n, model_v, rng)
-
-
-def _permute(prepared: tuple, model_n: OrderingModel | None,
-             model_v: OrderingModel | None, rng: RngStream) -> DepTree:
-    """`permute_tree` of the tree that `_prepare` gave `prepared` for."""
-    tree, reason, dependents, configs = prepared
+    source_id, reason, plan = _prepare(tree)
     if reason is not None:
-        raise ValueError(f"tree {tree.source_id!r} not eligible for generation "
-                         f"({reason})")
-    sampled = {config.source[1]: (model, config)
-               for model, class_configs in zip((model_n, model_v), configs)
-               if model is not None
-               for config in class_configs}
-    # explicit stacks rather than recursion, so a tree of any depth fits
-    plans: dict[int, list[Token]] = {}  # each head's units in output order
-    heads = [tree.root]
-    while heads:
-        head = heads.pop()
-        deps = dependents.get(head.index, [])
-        units = sorted(deps + [head], key=lambda t: t.index)
-        if head.index in sampled:
-            order = sample_ordering(*sampled[head.index], rng)
+        raise ValueError(f"tree {source_id!r} not eligible for generation ({reason})")
+    (out,) = parse_conllu(_permute(plan, model_n, model_v, rng), "lenient")
+    return DepTree(out.tokens, out.comments, (), source_id)
+
+
+def _permute(plan: tuple, model_n: OrderingModel | None,
+             model_v: OrderingModel | None, rng: RngStream) -> str:
+    """The CoNLL-U block of `permute_tree` of the tree `_prepare` gave `plan` for."""
+    comments, fields, heads = plan[:3]
+    models = (model_n, model_v)
+    new = [0] + [1] * len(fields)  # each subtree's first index, then its head's own
+    for k, units, sampled in heads:  # a head comes before its dependents
+        if sampled is not None and models[sampled[0]] is not None:
+            order = sample_ordering(models[sampled[0]], sampled[1], rng)
             units = [units[pos - 1] for pos in order]
-        plans[head.index] = units
-        heads.extend(reversed(deps))
-
-    linearized: list[Token] = []
-    pending = [(tree.root, True)]  # (token, whether to expand its subtree)
-    while pending:
-        tok, expand = pending.pop()
-        if expand:
-            pending.extend((unit, unit.index != tok.index)
-                           for unit in reversed(plans[tok.index]))
-        else:
-            linearized.append(tok)
-
-    index_map = {0: 0}
-    for new_index, tok in enumerate(linearized, start=1):
-        index_map[tok.index] = new_index
-    tokens = tuple(
-        Token(index_map[tok.index], tok.form, tok.lemma, tok.upos, tok.xpos,
-              tok.feats, index_map[tok.head], tok.deprel,
-              _remap_deps(tok.deps, index_map),
-              _append_misc(tok.misc, "OrigIdx", tok.index))
-        for tok in linearized)
-    return DepTree(tokens, tree.comments, (), tree.source_id)
+        at = new[k]
+        for unit, span in units:
+            new[unit] = at
+            at += span
+    lines = [""] * len(fields)
+    for k, (columns, head, deprel, deps, misc) in enumerate(fields, start=1):
+        if deps != "_":
+            deps = "|".join(f"{new[h]}:{relation}" for h, relation in deps)
+        lines[new[k] - 1] = f"{new[k]}\t{columns}\t{new[head]}\t{deprel}\t{deps}\t{misc}\n"
+    return comments + "".join(lines) + "\n"
 
 
 def load_language_models(model_dir: str | Path, language: str
@@ -245,8 +237,8 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
 
     `cache`, a dict the caller owns, keeps for later calls given it each
     language's models, each blend with its scores of heads of up to
-    `model.MEMO_MAX_N` elements, and each parsed split with its trees' drop
-    reasons and configurations (about 1.7 times the trees' memory).  A file
+    `model.MEMO_MAX_N` elements, and each split's `_prepare` plans (about
+    1.25 times the parsed trees' memory, which it does not keep).  A file
     is not read again once cached, so drop the dict when inputs may change.
     Reuse never changes a byte.  `batch` keeps one dict per task, a run of
     at most ceil(specs / jobs) consecutive specs with one substrate.
@@ -284,32 +276,24 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     ]
     outputs: dict[str, str] = {}
     for split, trees in inputs.items():
-        out_trees: list[DepTree] = []
+        blocks: list[str] = []
         dropped: dict[str, list[str]] = {"nonprojective": [], "fanout": []}
-        mwt_dropped = 0
-        deps_cleared = 0
-        for ordinal, prepared in enumerate(trees):
-            tree, reason = prepared[:2]
+        for ordinal, (source_id, reason, plan) in enumerate(trees):
             if reason is not None:
-                dropped[reason].append(tree.source_id)
+                dropped[reason].append(source_id)
                 continue
             rng = RngStream(spec.seed, spec.dirname, split, ordinal)
-            permuted = _permute(prepared, model_n, model_v, rng)
-            mwt_dropped += len(tree.ranges)
-            # remapping never invents a deps value, so cleared = lost count
-            deps_cleared += (sum(1 for t in tree.tokens if t.deps != "_")
-                             - sum(1 for t in permuted.tokens if t.deps != "_"))
-            out_trees.append(permuted)
-        outputs[f"{spec.dirname}-ud-{split}.conllu"] = serialize_conllu(out_trees)
+            blocks.append(_permute(plan, model_n, model_v, rng))
+        outputs[f"{spec.dirname}-ud-{split}.conllu"] = "".join(blocks)
         manifest.extend([
             (f"{split}_input_sentences", str(len(trees))),
-            (f"{split}_kept", str(len(out_trees))),
+            (f"{split}_kept", str(len(blocks))),
             (f"{split}_dropped_nonprojective", str(len(dropped["nonprojective"]))),
             (f"{split}_dropped_fanout", str(len(dropped["fanout"]))),
             (f"{split}_dropped_ids",
              ",".join(dropped["nonprojective"] + dropped["fanout"]) or "-"),
-            (f"{split}_multiword_lines_dropped", str(mwt_dropped)),
-            (f"{split}_deps_fields_cleared", str(deps_cleared)),
+            (f"{split}_multiword_lines_dropped", str(sum(plan[3] for *_, plan in trees if plan))),
+            (f"{split}_deps_fields_cleared", str(sum(plan[4] for *_, plan in trees if plan))),
         ])
     outputs["manifest.tsv"] = "".join(f"{k}\t{v}\n" for k, v in manifest)
 

@@ -8,21 +8,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deporder import synthesis
-from deporder.model import OrderingModel, enumerate_scores, load_model, save_model
+from deporder import cli, synthesis
+from deporder.model import (MEMO_MAX_N, OrderingModel, enumerate_scores, interpolate,
+                            load_model, save_model)
 from deporder.synthesis import (DEFAULT_LAMBDA, SPLITS, LanguageSpec, RngStream,
                                 SpecError, cross_product_specs,
                                 load_language_models, permute_tree,
                                 sample_ordering, synthesize_language)
 from deporder.treebank import (DepTree, LocalConfig, Token,
                                filter_for_generation, generation_drop_reason,
-                               is_projective, parse_conllu, read_split,
-                               serialize_conllu)
+                               is_projective, local_configs, parse_conllu,
+                               read_split, serialize_conllu)
 
 from conftest import UD_ROOT, chain_conllu, load_split, log_partition
 
 DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
 DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0})
+# enhanced dependencies that remap (the first two) or are cleared (the last two)
+DEPS_TREE = DepTree((
+    Token(1, "a", "a", "NOUN", head=3, deprel="nsubj", deps="3:nsubj"),
+    Token(2, "b", "b", "NOUN", head=3, deprel="dobj", deps="0:root|3:dobj"),
+    Token(3, "c", "c", "VERB", head=0, deprel="root", deps="bad:x"),
+    Token(4, ".", ".", "PUNCT", head=3, deprel="punct", deps="3.1:odd")))
+
+
+class CountingStream(RngStream):
+    """An `RngStream` that counts the draws taken from it."""
+
+    def __init__(self, *key_parts):
+        super().__init__(*key_parts)
+        self.draws = 0
+
+    def uniform(self) -> float:
+        self.draws += 1
+        return super().uniform()
 
 
 class TestLanguageSpec:
@@ -114,6 +133,38 @@ class TestSampleOrdering:
         with pytest.raises(ValueError):
             sample_ordering(OrderingModel("u", "N", {}), big, RngStream("big"))
 
+    def test_memoized_cdf_draws_are_bit_identical(self, xx_models, sov_n_model,
+                                                  sov_v_model):
+        # a draw from a warm memo, one from a fresh blend and one worked out
+        # here from the scores pick the same ordering, stream by stream
+        trees = load_split("xx", "dev") + load_split("xx", "test")
+        cases = [(k, config) for k, pos_class in enumerate("NV") for tree in trees
+                 for config in local_configs(tree, pos_class)
+                 if 2 <= config.n <= MEMO_MAX_N]
+        assert {config.n for _, config in cases} == set(range(2, MEMO_MAX_N + 1))
+        superstrates = (sov_n_model, sov_v_model)
+
+        def blends():
+            return [interpolate(sup, sub) for sup, sub in zip(superstrates, xx_models)]
+
+        cdfs = []
+        for k, config in cases:
+            orders, scores = enumerate_scores(blends()[k], config)
+            weights = np.exp(scores - scores.max())
+            cdfs.append((orders, np.cumsum(weights / weights.sum())))
+        warm = blends()
+        for (k, config), (_, cdf) in zip(cases, cdfs):
+            sample_ordering(warm[k], config, RngStream("warm-up"))
+            assert enumerate_scores(warm[k], config).cdf.tobytes() == cdf.tobytes()
+        for stream in range(200):
+            fresh = blends()
+            rngs = [RngStream("memo-cdf", stream) for _ in range(3)]
+            for (k, config), (orders, cdf) in zip(cases, cdfs):
+                at = int(np.searchsorted(cdf, rngs[2].uniform()))
+                expected = orders[min(at, len(orders) - 1)]
+                assert sample_ordering(warm[k], config, rngs[0]) == expected
+                assert sample_ordering(fresh[k], config, rngs[1]) == expected
+
     def test_matches_enumerated_distribution(self):
         config = LocalConfig((("NOUN", "nsubj"), ("VERB", "head"),
                               ("NOUN", "dobj")))
@@ -190,18 +241,34 @@ class TestPermuteTree:
         assert out.tokens[0].misc == "SpaceAfter=No|OrigIdx=1"
 
     def test_deps_remapped_or_cleared(self, sov_v_model):
-        tree = DepTree((
-            Token(1, "a", "a", "NOUN", head=3, deprel="nsubj", deps="3:nsubj"),
-            Token(2, "b", "b", "NOUN", head=3, deprel="dobj", deps="0:root|3:dobj"),
-            Token(3, "c", "c", "VERB", head=0, deprel="root", deps="bad:x"),
-            Token(4, ".", ".", "PUNCT", head=3, deprel="punct", deps="3.1:odd")))
-        out = permute_tree(tree, None, sov_v_model, RngStream("deps"))
+        out = permute_tree(DEPS_TREE, None, sov_v_model, RngStream("deps"))
         by_orig = {int(t.misc.rsplit("OrigIdx=", 1)[1]): t for t in out.tokens}
         new_of = {orig: tok.index for orig, tok in by_orig.items()}
         assert by_orig[1].deps == f"{new_of[3]}:nsubj"
         assert by_orig[2].deps == f"0:root|{new_of[3]}:dobj"
         assert by_orig[3].deps == "_"
         assert by_orig[4].deps == "_"
+
+    def test_source_id_kept(self, fig1_tree, xx_models):
+        for tree in (fig1_tree, DEPS_TREE):  # with a sent_id comment and without
+            assert permute_tree(tree, *xx_models, RngStream("id")).source_id \
+                == tree.source_id
+        assert DEPS_TREE.source_id == ""
+
+    @pytest.mark.parametrize("classes", ["", "N", "V", "NV"])
+    def test_draws_consumed(self, classes, xx_train_trees, xx_models):
+        # one draw per modelled N/V head of two or more elements: none for a
+        # lone head, none for a class left in its original order
+        models = [model if pos_class in classes else None
+                  for pos_class, model in zip("NV", xx_models)]
+        lone = 0
+        for k, tree in enumerate(filter_for_generation(xx_train_trees)):
+            configs = [c for pos_class in classes for c in local_configs(tree, pos_class)]
+            rng = CountingStream("draws", k)
+            permute_tree(tree, *models, rng)
+            assert rng.draws == sum(c.n >= 2 for c in configs)
+            lone += sum(c.n == 1 for c in configs)
+        assert lone > 0 or classes == ""
 
 
 @pytest.fixture(scope="session")
@@ -305,6 +372,32 @@ class TestSynthesizeLanguage:
             synthesize_language(spec, UD_ROOT / "xx", fixture_model_dir, tmp_path)
         assert placed == ["xx~sov@V-ud-train.conllu"]
         assert not (out / "manifest.tsv").exists()
+
+    def test_fully_dropped_split_and_cleared_deps(self, fixture_model_dir, tmp_path,
+                                                  sov_v_model, xx_models, capsys):
+        substrate = tmp_path / "xx"
+        substrate.mkdir()
+        (substrate / "xx-ud-train.conllu").write_text(serialize_conllu([DEPS_TREE]))
+        unfit = [t for t in load_split("xx") if generation_drop_reason(t) is not None]
+        assert {generation_drop_reason(t) for t in unfit} == {"nonprojective", "fanout"}
+        (substrate / "xx-ud-dev.conllu").write_text(serialize_conllu(unfit))
+        shutil.copy(UD_ROOT / "xx" / "xx-ud-test.conllu", substrate)
+        spec = LanguageSpec.parse("xx~sov@V")
+        out = synthesize_language(spec, substrate, fixture_model_dir, tmp_path / "out")
+        manifest = dict(line.split("\t", 1)
+                        for line in (out / "manifest.tsv").read_text().splitlines())
+        assert (out / "xx~sov@V-ud-dev.conllu").read_text() == ""
+        assert manifest["dev_kept"] == "0"
+        assert sorted(manifest["dev_dropped_ids"].split(",")) \
+            == sorted(t.source_id for t in unfit)
+        assert manifest["train_deps_fields_cleared"] == "2"
+        # the written sentence is the one `permute_tree` builds from the same draws
+        (written,) = parse_conllu((out / "xx~sov@V-ud-train.conllu").read_text())
+        permuted = permute_tree(DEPS_TREE, None, interpolate(sov_v_model, xx_models[1]),
+                                RngStream(spec.seed, spec.dirname, "train", 0))
+        assert written.tokens == permuted.tokens
+        assert cli.main(["validate", str(out)]) == 0
+        assert "OK\txx~sov@V-ud-dev.conllu\t0" in capsys.readouterr().out
 
     def test_load_language_models_checks_class(self, tmp_path):
         save_model(OrderingModel("zz", "V", {}),
