@@ -19,7 +19,6 @@ import concurrent.futures
 import contextlib
 import functools
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -30,8 +29,6 @@ from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
 from .treebank import (LANG_ID, ConlluError, filter_for_generation, is_projective,
                        local_configs, parse_conllu, read_split,
                        serialize_conllu, touched_fraction)
-
-JOBS_ENV_VAR = "DEPORDER_JOBS"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,9 +43,6 @@ exit codes:
   {EXIT_MISSING_INPUT}  missing input file or directory, or another file system error
   {EXIT_BAD_DATA}  malformed data or failed validation
   {EXIT_MISMATCH}  model or spec mismatch
-
-environment:
-  {JOBS_ENV_VAR}  default worker count for `batch` (overridden by --jobs)
 """
 
 
@@ -251,8 +245,7 @@ def cmd_validate(args) -> int:
 
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive integer (from --jobs or ${JOBS_ENV_VAR})")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
 
 
@@ -306,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True,
                    help="newline-delimited file of spec names")
     _add_synthesis_options(p)
-    # argparse passes a string default through `type` too
-    p.add_argument("--jobs", type=_positive_int,
-                   default=os.environ.get(JOBS_ENV_VAR, "1"),
-                   help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers (default 1)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stats", help="sentence/token counts, touched fraction, freeness")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .treebank import DepTree, UPOS_TAGS
+from .treebank import DepTree, UPOS_TAGS, write_whole
 
 BOS = "<s>"
 EOS = "</s>"
@@ -172,7 +172,7 @@ def lm_from_text(text: str) -> TrigramLM:
     oov_threshold = DEFAULT_OOV_THRESHOLD
     declared_vocab = -1
     trigrams: dict[tuple[str, str, str], int] = {}
-    symbols: set[str] = set()
+    lines: dict[tuple[str, str, str], int] = {}  # each trigram's line number
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -192,10 +192,13 @@ def lm_from_text(text: str) -> TrigramLM:
             if parts in trigrams:
                 raise ValueError(f"line {lineno}: repeated trigram {gram!r}")
             trigrams[parts] = _count(count, lineno)
-            symbols.update(parts)
+            lines[parts] = lineno
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")
-    vocabulary = _vocabulary(mode, symbols)
+    vocabulary = _vocabulary(mode, {symbol for gram in trigrams for symbol in gram})
+    for (w1, w2, w3), lineno in lines.items():  # what no padded sequence produces
+        if not {w1, w2, w3} <= vocabulary or w3 == BOS or EOS in (w1, w2) or w2 == BOS != w1:
+            raise ValueError(f"line {lineno}: no sequence has the trigram {w1} {w2} {w3}")
     if declared_vocab >= 0 and declared_vocab != len(vocabulary):
         raise ValueError(f"vocabulary size mismatch: header says {declared_vocab}, "
                          f"reconstructed {len(vocabulary)}")
@@ -203,7 +206,8 @@ def lm_from_text(text: str) -> TrigramLM:
 
 
 def save_lm(lm: TrigramLM, path: str | Path) -> None:
-    Path(path).write_text(lm_to_text(lm), encoding="utf-8")
+    """Write `lm_to_text(lm)` to `path` whole (`treebank.write_whole`)."""
+    write_whole(path, lm_to_text(lm))
 
 
 def load_lm(path: str | Path) -> TrigramLM:

@@ -31,7 +31,7 @@ import numpy as np
 from . import DEFAULT_LAMBDA, features
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
-                       local_configs)
+                       local_configs, write_whole)
 
 MODEL_FORMAT_VERSION = 1
 LN2 = math.log(2.0)
@@ -523,7 +523,8 @@ def model_from_text(text: str) -> OrderingModel:
 
 
 def save_model(model: OrderingModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_text(model), encoding="utf-8")
+    """Write `model_to_text(model)` to `path` whole (`treebank.write_whole`)."""
+    write_whole(path, model_to_text(model))
 
 
 def load_model(path: str | Path) -> OrderingModel:

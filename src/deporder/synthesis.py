@@ -11,7 +11,6 @@ plus a `manifest.tsv` of key/value lines.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import re
 from dataclasses import dataclass
@@ -22,7 +21,8 @@ import numpy as np
 from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
 from .model import OrderingModel, enumerate_scores, interpolate, load_model
 from .treebank import (LANG_ID, DepTree, LocalConfig, children_map,
-                       generation_drop_reason, local_configs, parse_conllu, read_split)
+                       generation_drop_reason, local_configs, parse_conllu, read_split,
+                       write_whole)
 
 SPLITS = ("train", "dev", "test")
 
@@ -231,9 +231,8 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     interpolated models, and only then writes byte-deterministic output
     under `out_root/<spec dirname>`, so a spec that fails on a missing or
     malformed input writes nothing.  Writing deletes any old `manifest.tsv`,
-    then puts each split and last the manifest in place whole, through a
-    temporary file and `os.replace`: a directory without a manifest is
-    incomplete.
+    then puts each split and last the manifest in place whole, through
+    `treebank.write_whole`: a directory without a manifest is incomplete.
 
     `cache`, a dict the caller owns, keeps for later calls given it each
     language's models, each blend with its scores of heads of up to
@@ -301,9 +300,7 @@ def synthesize_language(spec: LanguageSpec, substrate_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.tsv").unlink(missing_ok=True)
     for name, text in outputs.items():
-        temp = out_dir / f"{name}.tmp"
-        temp.write_text(text, encoding="utf-8")
-        os.replace(temp, out_dir / name)
+        write_whole(out_dir / name, text)
     return out_dir
 
 

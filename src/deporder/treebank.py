@@ -10,6 +10,7 @@ newline after the final blank line.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,8 +129,6 @@ def _parse_token(fields: list[str], lineno: int) -> Token:
         head = int(fields[6])
     except ValueError:
         raise ConlluError(f"non-integer head {fields[6]!r}", lineno)
-    if index < 1:
-        raise ConlluError(f"token id must be >= 1, got {index}", lineno)
     if head < 0:
         raise ConlluError(f"head must be >= 0, got {head}", lineno)
     if head == index:
@@ -240,6 +239,14 @@ def read_split(treebank_dir: str | Path, language: str, split: str,
     return parse_conllu(path.read_text(encoding="utf-8"), mode)
 
 
+def write_whole(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 through `<path>.tmp` and `os.replace`, so
+    a failed write leaves `path` as it was, never cut short."""
+    temp = Path(f"{path}.tmp")
+    temp.write_text(text, encoding="utf-8")
+    os.replace(temp, path)
+
+
 def serialize_conllu(trees: list[DepTree]) -> str:
     """Render trees back to CoNLL-U text; inverse of `parse_conllu`."""
     blocks = []
@@ -288,10 +295,7 @@ def is_projective(tree: DepTree) -> bool:
 
 def max_fanout(tree: DepTree) -> int:
     """Largest local configuration size (head plus dependents) over all nodes."""
-    counts: dict[int, int] = {}
-    for tok in tree.tokens:
-        counts[tok.head] = counts.get(tok.head, 0) + 1
-    return 1 + max((c for h, c in counts.items() if h != 0), default=0)
+    return 1 + max((len(deps) for h, deps in children_map(tree).items() if h != 0), default=0)
 
 
 def generation_drop_reason(tree: DepTree) -> str | None:

@@ -264,6 +264,15 @@ class TestPermuteCommand:
                          str(tmp_path / "none"), "--out", str(tmp_path))
         assert code == EXIT_MISMATCH
 
+    def test_lambda_outside_unit_interval_is_mismatch(self, trained_dir, tmp_path, capsys):
+        code, out, err = run(capsys, "permute", "--spec", "xx~sov@V",
+                             "--data", str(UD_ROOT), "--models", str(trained_dir),
+                             "--out", str(tmp_path / "out"), "--lambda", "1.5")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "error: interpolation weight must be in [0, 1], got 1.5\n"
+        assert not (tmp_path / "out").exists()
+
 
     def test_non_finite_weight_is_bad_data(self, trained_dir, tmp_path, capsys):
         models = tmp_path / "models"
@@ -347,32 +356,23 @@ class TestBatchCommand:
                 twin = tmp_path / "parallel" / spec / path.name
                 assert twin.read_bytes() == path.read_bytes()
 
-    def test_jobs_env_var(self, trained_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DEPORDER_JOBS", "2")
-        specs = tmp_path / "specs.txt"
-        specs.write_text("xx~sov@V\n")
-        code, out, _ = run(capsys, "batch", "--specs", str(specs),
-                           "--data", str(UD_ROOT),
-                           "--models", str(trained_dir),
-                           "--out", str(tmp_path / "env"))
-        assert code == EXIT_OK
-        assert out.splitlines() == ["done\txx~sov@V"]
-
-    @pytest.mark.parametrize("env, argv", [(None, ["--jobs", "-3"]),
-                                           (None, ["--jobs", "0"]),
-                                           ("abc", []), ("2.5", [])])
-    def test_bad_jobs_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                     env, argv):
-        if env is None:
-            monkeypatch.delenv("DEPORDER_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("DEPORDER_JOBS", env)
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys, jobs):
         with pytest.raises(SystemExit) as err:
             main(["batch", "--specs", str(tmp_path / "specs.txt"),
                   "--data", str(UD_ROOT), "--models", str(tmp_path),
-                  "--out", str(tmp_path / "out"), *argv])
+                  "--out", str(tmp_path / "out"), "--jobs", jobs])
         assert err.value.code == 2
         assert "not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_spec_list(self, tmp_path, capsys):
+        code, out, err = run(capsys, "batch", "--specs", str(tmp_path / "none.txt"),
+                             "--data", str(UD_ROOT), "--models", str(tmp_path),
+                             "--out", str(tmp_path / "out"))
+        assert code == EXIT_MISSING_INPUT
+        assert out == ""
+        assert err == f"error: missing spec list {tmp_path / 'none.txt'}\n"
         assert not (tmp_path / "out").exists()
 
     def test_failure_reported(self, trained_dir, tmp_path, capsys):
@@ -464,16 +464,13 @@ class TestBatchCommand:
             == [["failed", "xx~sov@V"], ["failed", "sov~nadj@N"]]
         assert all("terminated abruptly" in line for line in err.splitlines())
 
-    @pytest.mark.parametrize("env, argv, specs, workers", [
-        (None, ["--jobs", "64"], 3, [3]), (None, ["--jobs", "2"], 3, [2]),
-        ("64", [], 3, [3]), (None, ["--jobs", "64"], 1, []),
-        (None, ["--jobs", "1"], 3, [])])
+    @pytest.mark.parametrize("argv, specs, workers", [
+        (["--jobs", "64"], 3, [3]), (["--jobs", "2"], 3, [2]),
+        (["--jobs", "64"], 1, []), (["--jobs", "1"], 3, [])])
     def test_no_more_workers_than_specs(self, tmp_path, capsys, monkeypatch,
-                                        recording_pool, env, argv, specs, workers):
+                                        recording_pool, argv, specs, workers):
         monkeypatch.setattr(cli, "_synthesize_task",
                             lambda names, *rest: [f"done\t{name}" for name in names])
-        if env is not None:
-            monkeypatch.setenv("DEPORDER_JOBS", env)
         names = [f"l{k}" for k in range(specs)]
         (tmp_path / "specs.txt").write_text("".join(f"{name}\n" for name in names))
         code, out, _ = run(capsys, "batch", "--specs", str(tmp_path / "specs.txt"),
@@ -596,6 +593,15 @@ class TestPerplexityCommand:
         assert "'-1' is not a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "m.lm").exists()
 
+    def test_missing_eval_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "perplexity", "--eval", str(tmp_path / "none.conllu"),
+                             "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+                             "--save-lm", str(tmp_path / "m.lm"))
+        assert code == EXIT_MISSING_INPUT
+        assert out == ""
+        assert err == f"error: missing treebank file {tmp_path / 'none.conllu'}\n"
+        assert not (tmp_path / "m.lm").exists()
+
     def test_mode_mismatch(self, tmp_path, capsys):
         lm_path = tmp_path / "m.lm"
         run(capsys, "perplexity",
@@ -637,6 +643,18 @@ class TestSelectCommand:
         assert lines[1].startswith("sov\t") and lines[1].endswith("\t1")
         assert lines[2].startswith("nadj\t") and lines[2].endswith("\t2")
 
+    def test_word_mode_candidate_is_mismatch(self, tmp_path, capsys):
+        run(capsys, "perplexity", "--mode", "word",
+            "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+            "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"),
+            "--save-lm", str(tmp_path / "sov.lm"))
+        code, out, err = run(capsys, "select",
+                             "--target", str(UD_ROOT / "sov" / "sov-ud-test.conllu"),
+                             "--candidates", str(tmp_path / "sov.lm"))
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == f"error: {tmp_path / 'sov.lm'} is not a tag-mode language model\n"
+
     def test_empty_target_is_bad_data(self, tmp_path, capsys):
         run(capsys, "perplexity",
             "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
@@ -669,6 +687,13 @@ class TestValidateCommand:
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == EXIT_MISSING_INPUT
 
+    def test_directory_without_treebanks(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not a treebank\n")
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == EXIT_MISSING_INPUT
+        assert out == ""
+        assert err == f"error: no .conllu files under {tmp_path}\n"
+
     # one valid sentence (lines 1-2), then a faulty one from line 3; the
     # message names the faulty token's line, or a structural fault's first
     @pytest.mark.parametrize("rows, line, message", [
@@ -682,8 +707,15 @@ class TestValidateCommand:
         ([(1, "VERB", 0, "root"), (2, "NOUN", 5, "nsubj")], 3,
          "head 5 of token 2 out of range"),
         ([(1, "BLORP", 0, "root")], 3, "unknown POS tag 'BLORP'"),
+        ([(1, "VERB", 0, "root"), ("abc", "NOUN", 1, "nsubj")], 4,
+         "non-integer token id 'abc'"),
+        ([(0, "NOUN", 1, "root")], 3, "token id 0 out of sequence"),
+        ([(1, "VERB", -1, "root")], 3, "head must be >= 0, got -1"),
+        ([(1, "VERB", 0, "root"), ("2.1", "NOUN", 1, "nsubj")], 4,
+         "decimal token id '2.1' not supported"),
     ], ids=["self-headed", "two-roots", "cycle", "id-out-of-sequence",
-            "head-out-of-range", "unknown-tag"])
+            "head-out-of-range", "unknown-tag", "non-integer-id", "id-zero",
+            "negative-head", "decimal-id"])
     def test_tree_fault(self, tmp_path, capsys, rows, line, message):
         sentence = "".join(f"{index}\tw\tw\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n"
                            for index, upos, head, rel in rows)
@@ -732,6 +764,9 @@ class TestParser:
         ppl = parser.parse_args(["perplexity", "--eval", "x", "--train", "y"])
         assert ppl.oov_threshold == 10
         assert ppl.mode == "tag"
+        batch = parser.parse_args(["batch", "--specs", "a", "--data", "b",
+                                   "--models", "c", "--out", "d"])
+        assert batch.jobs == 1
 
 
 SRC = Path(__file__).parents[1] / "src"

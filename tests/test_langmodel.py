@@ -225,6 +225,37 @@ class TestPersistence:
                            match="line 3: repeated trigram 'NOUN NOUN NOUN'"):
             lm_from_text("#mode tag\nNOUN NOUN NOUN\t1\nNOUN NOUN NOUN\t2\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("#order 3", "line 2: unknown header '#order 3'"),
+        ("NOUN NOUN NOUN 5", "line 2: expected `w1 w2 w3\\t<count>`"),
+    ], ids=["unknown-header", "no-tab"])
+    def test_bad_line_named(self, line, message):
+        with pytest.raises(ValueError) as err:
+            lm_from_text(f"#mode tag\n{line}\n")
+        assert str(err.value) == message
+
+    # the conditionals after a history must sum to 1, so every trigram on
+    # file must be one that a padded sequence produces; with `NOUN NOUN FOO`
+    # kept, those after (NOUN, NOUN) would sum to 0.783
+    @pytest.mark.parametrize("gram", [
+        "NOUN NOUN FOO", "FOO NOUN NOUN", "NOUN NOUN <s>", "<s> <s> <s>",
+        "</s> NOUN NOUN", "NOUN </s> NOUN", "NOUN </s> </s>", "NOUN <s> NOUN",
+        "</s> <s> NOUN",
+    ])
+    def test_impossible_trigram_rejected(self, gram):
+        with pytest.raises(ValueError,
+                           match=f"line 3: no sequence has the trigram {gram}$"):
+            lm_from_text(f"#mode tag\n#vocab_size 19\n{gram}\t5\n")
+
+    @pytest.mark.parametrize("mode", ["tag", "word"])
+    def test_every_trained_trigram_loads(self, mode):
+        # the padding events are all possible ones: an empty sentence and
+        # the first and last positions of every other
+        lm = train_trigram([[], ["NOUN"], ["DET", "NOUN", "VERB"] * 4], mode=mode,
+                           oov_threshold=1)
+        assert {(BOS, BOS, EOS), (BOS, BOS, "NOUN"), (BOS, "NOUN", EOS)} <= set(lm.trigrams)
+        assert lm_from_text(lm_to_text(lm)).trigrams == lm.trigrams
+
     def test_missing_mode_rejected(self):
         with pytest.raises(ValueError):
             lm_from_text("#vocab_size 3\n")

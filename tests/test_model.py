@@ -796,6 +796,15 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="line 4"):
             model_from_text(f"#lang x\n#pos N\n#version 1\nA.BOS.BOS.X.head\t{weight}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("#weights 3", "line 4: unknown header '#weights 3'"),
+        ("L.ADJ 1.0", "line 4: expected <name>\\t<weight>"),
+    ], ids=["unknown-header", "no-tab"])
+    def test_bad_line_named(self, line, message):
+        with pytest.raises(ValueError) as err:
+            model_from_text(f"#lang x\n#pos N\n#version 1\n{line}\n")
+        assert str(err.value) == message
+
     def test_repeated_feature_rejected(self):
         with pytest.raises(ValueError, match="line 5: repeated feature 'L.ADJ'"):
             model_from_text("#lang x\n#pos N\n#version 1\nL.ADJ\t1.0\nL.ADJ\t2.0\n")

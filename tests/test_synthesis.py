@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deporder import cli, synthesis
+from deporder import cli, synthesis, treebank
 from deporder.model import (MEMO_MAX_N, OrderingModel, enumerate_scores, interpolate,
                             load_model, save_model)
 from deporder.synthesis import (DEFAULT_LAMBDA, SPLITS, LanguageSpec, RngStream,
@@ -367,7 +367,7 @@ class TestSynthesizeLanguage:
             placed.append(Path(dst).name)
             real_replace(src, dst)
 
-        monkeypatch.setattr(synthesis.os, "replace", fail_after_first)
+        monkeypatch.setattr(treebank.os, "replace", fail_after_first)
         with pytest.raises(OSError, match="disk full"):
             synthesize_language(spec, UD_ROOT / "xx", fixture_model_dir, tmp_path)
         assert placed == ["xx~sov@V-ud-train.conllu"]

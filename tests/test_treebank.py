@@ -1,4 +1,6 @@
+import errno
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,11 @@ from deporder.treebank import (ConlluError, DepTree, Token, UPOS_TAGS,
                                local_configs, max_fanout, parse_conllu,
                                serialize_conllu, touched_fraction)
 
-from conftest import FIXTURES, UD_ROOT, read_trees
+from deporder.langmodel import (load_lm, save_lm, tag_sequences, train_trigram,
+                                word_sequences)
+from deporder.model import load_model, save_model
+
+from conftest import FIXTURES, UD_ROOT, load_split, read_trees
 
 
 def make_tree(rows, source_id="t"):
@@ -357,3 +363,32 @@ class TestRoundTripProperty:
     def test_parse_then_serialize_identity(self, trees):
         text = serialize_conllu(trees)
         assert serialize_conllu(parse_conllu(text, "strict")) == text
+
+
+class TestWriteWhole:
+    @pytest.mark.parametrize("kind", ["model", "lm"])
+    def test_failed_save_leaves_the_previous_file(self, kind, xx_models, tmp_path,
+                                                  monkeypatch):
+        # the new artifact is longer than the 4 KiB the full disk takes
+        if kind == "model":
+            (old, new), save, load = xx_models, save_model, load_model
+            entries = lambda artifact: artifact.weights
+        else:
+            trees = load_split("xx")
+            old = train_trigram(tag_sequences(trees), "tag")
+            new = train_trigram(word_sequences(trees), "word", oov_threshold=1)
+            save, load, entries = save_lm, load_lm, lambda artifact: artifact.trigrams
+        target = tmp_path / f"xx.{kind}"
+        save(old, target)
+        before = target.read_bytes()
+
+        def full_disk(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as out:
+                out.write(text[:4096])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            save(new, target)
+        assert target.read_bytes() == before
+        assert entries(load(target)) == entries(old)
