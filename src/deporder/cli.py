@@ -8,16 +8,18 @@ reports are tab-separated UTF-8 with a header row, and every subcommand is
 deterministic for fixed inputs and flags.
 
 Only `train`, `permute`, `batch` and `stats --models` train, score or sample
-ordering models, so only they import `model` and `synthesis`, and numpy with
-them; the other subcommands, `--help` and `--version` start without numpy.
+ordering models, so only they import `model`, and numpy with it; only
+`permute` and `batch` import `synthesis`, and only `batch` imports
+`concurrent.futures`.  The other subcommands, `--help` and `--version` start
+without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
+import gc
 import itertools
 import sys
 from pathlib import Path
@@ -87,8 +89,9 @@ def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
 
 def _synthesize_task(names: list[str], *options) -> list[str]:
     """One `batch` task: each spec's report line, "done\t<dirname>" or
-    "failed\t<name>\t<error>".  The specs share one synthesis cache, which
-    goes when the task returns."""
+    "failed\t<name>\t<error>", an error other than a file system or data
+    error naming its type.  The specs share one synthesis cache, which goes
+    when the task returns."""
     cache: dict = {}
     lines = []
     for name in names:
@@ -96,6 +99,8 @@ def _synthesize_task(names: list[str], *options) -> list[str]:
             lines.append(f"done\t{_synthesize_one(name, *options, cache).name}")
         except (OSError, ValueError) as exc:
             lines.append(f"failed\t{name}\t{exc}")
+        except Exception as exc:  # a fault in one spec fails that spec only
+            lines.append(f"failed\t{name}\t{type(exc).__name__}: {exc}")
     return lines
 
 
@@ -108,6 +113,7 @@ def cmd_permute(args) -> int:
 
 def _queue(pool, call):
     """Start `call` in the pool; the returned callable gives its outcome."""
+    import concurrent.futures
     try:
         return pool.submit(call).result
     except concurrent.futures.BrokenExecutor as exc:  # a worker died already
@@ -136,6 +142,7 @@ def cmd_batch(args) -> int:
                                args.data, args.models, args.out, mode)
              for task in tasks]
     jobs = min(args.jobs, len(tasks))  # the pool forks every worker at its first submit
+    import concurrent.futures
     from . import synthesis  # noqa: F401  imported before the fork, the workers share it
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     failures = 0
@@ -167,8 +174,7 @@ def cmd_stats(args) -> int:
     touched = touched_fraction(kept)
     r_value = "NA"
     if args.models:
-        from .model import freeness
-        from .synthesis import load_language_models
+        from .model import freeness, load_language_models
         model_n, model_v = load_language_models(args.models, language)
         dev_trees = read_split(treebank_dir, language, "dev", mode)
         dev_kept = filter_for_generation(dev_trees)
@@ -343,8 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; returns its exit code (argparse raises
+    SystemExit for usage errors, `--help` and `--version`).
+
+    The command runs with the cyclic garbage collector off, `batch`'s
+    workers too, since no command leaves cyclic garbage that grows with its
+    input; the collector's state is restored on return, whatever it was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -355,7 +370,22 @@ def main(argv=None) -> int:
     except (ConlluError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run(argv=None) -> int:
+    """`main` for a process of its own: the `deporder` console script and
+    `python -m deporder.cli`.  The collector stays off to the end of the
+    process, and `gc.freeze()` then moves every object out of its reach, so
+    the interpreter's final collection at exit scans none of them."""
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -28,7 +28,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from . import DEFAULT_LAMBDA, features
+from . import DEFAULT_LAMBDA, SpecError, features
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
                        local_configs, write_whole)
@@ -529,3 +529,19 @@ def save_model(model: OrderingModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> OrderingModel:
     return model_from_text(Path(path).read_text(encoding="utf-8"))
+
+
+def load_language_models(model_dir: str | Path, language: str
+                         ) -> tuple[OrderingModel, OrderingModel]:
+    """Load the N and V models of one language from `<lang>-<class>.model` files."""
+    model_dir = Path(model_dir)
+    models = []
+    for pos_class in ("N", "V"):
+        path = model_dir / f"{language}-{pos_class}.model"
+        if not path.exists():
+            raise SpecError(f"missing model file {path}")
+        model = load_model(path)
+        if model.pos_class != pos_class:
+            raise SpecError(f"{path} declares POS class {model.pos_class!r}")
+        models.append(model)
+    return models[0], models[1]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
-from .model import OrderingModel, enumerate_scores, interpolate, load_model
+from .model import OrderingModel, enumerate_scores, interpolate, load_language_models
 from .treebank import (LANG_ID, DepTree, LocalConfig, children_map,
                        generation_drop_reason, local_configs, parse_conllu, read_split,
                        write_whole)
@@ -194,22 +194,6 @@ def _permute(plan: tuple, model_n: OrderingModel | None,
             deps = "|".join(f"{new[h]}:{relation}" for h, relation in deps)
         lines[new[k] - 1] = f"{new[k]}\t{columns}\t{new[head]}\t{deprel}\t{deps}\t{misc}\n"
     return comments + "".join(lines) + "\n"
-
-
-def load_language_models(model_dir: str | Path, language: str
-                         ) -> tuple[OrderingModel, OrderingModel]:
-    """Load the N and V models of one language from `<lang>-<class>.model` files."""
-    model_dir = Path(model_dir)
-    models = []
-    for pos_class in ("N", "V"):
-        path = model_dir / f"{language}-{pos_class}.model"
-        if not path.exists():
-            raise SpecError(f"missing model file {path}")
-        model = load_model(path)
-        if model.pos_class != pos_class:
-            raise SpecError(f"{path} declares POS class {model.pos_class!r}")
-        models.append(model)
-    return models[0], models[1]
 
 
 def _cached(cache: dict, key: tuple, make):

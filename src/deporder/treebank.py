@@ -9,15 +9,12 @@ newline after the final blank line.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .sjt import MAX_N
-
-logger = logging.getLogger(__name__)
 
 # The closed universal POS tagset (17 tags).
 UPOS_TAGS = frozenset({
@@ -225,7 +222,9 @@ def parse_conllu(text: str, mode: str = "strict") -> list[DepTree]:
             except ConlluError as exc:
                 if mode == "strict":
                     raise
-                logger.warning("skipping malformed sentence: %s", exc)
+                import logging  # only once a sentence is skipped
+                logging.getLogger(__name__).warning(
+                    "skipping malformed sentence: %s", exc)
             block = []
     return trees
 
@@ -241,10 +240,14 @@ def read_split(treebank_dir: str | Path, language: str, split: str,
 
 def write_whole(path: str | Path, text: str) -> None:
     """Write `text` to `path` as UTF-8 through `<path>.tmp` and `os.replace`, so
-    a failed write leaves `path` as it was, never cut short."""
+    a failed write leaves `path` as it was, never cut short, and no `.tmp`."""
     temp = Path(f"{path}.tmp")
-    temp.write_text(text, encoding="utf-8")
-    os.replace(temp, path)
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def serialize_conllu(trees: list[DepTree]) -> str:

@@ -1,6 +1,8 @@
 import argparse
 import concurrent.futures
+import contextlib
 import filecmp
+import gc
 import os
 import shutil
 import subprocess
@@ -13,7 +15,8 @@ from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
 from deporder.model import OrderingModel, save_model
-from deporder.synthesis import LanguageSpec, synthesize_language
+from deporder.synthesis import (LanguageSpec, cross_product_specs,
+                                synthesize_language)
 
 from conftest import UD_ROOT, chain_conllu
 
@@ -530,6 +533,27 @@ class TestBatchCommand:
                                        trained_dir, tmp_path / "solo")
             assert directory_bytes(tmp_path / "out" / name) == directory_bytes(solo)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_error_fails_its_spec(self, trained_dir, tmp_path, capsys,
+                                             monkeypatch, jobs):
+        real_synthesize_one = cli._synthesize_one
+
+        def faulty(name, *options):
+            if name == "xx~sov@N":
+                raise RuntimeError("injected fault")
+            return real_synthesize_one(name, *options)
+
+        monkeypatch.setattr(cli, "_synthesize_one", faulty)  # the workers fork with it
+        names = ["xx~sov@V", "xx~sov@N", "xx~nadj@N", "sov~xx@N"]
+        (tmp_path / "specs.txt").write_text("\n".join(names) + "\n")
+        code, out, err = run(capsys, "batch", "--specs", str(tmp_path / "specs.txt"),
+                             "--data", str(UD_ROOT), "--models", str(trained_dir),
+                             "--out", str(tmp_path / "out"), "--jobs", jobs)
+        assert code == EXIT_BAD_DATA
+        assert out.splitlines() == [f"done\t{name}" for name in names
+                                    if name != "xx~sov@N"]
+        assert err == "failed\txx~sov@N\tRuntimeError: injected fault\n"
+
     def test_spec_queued_after_a_worker_died_fails(self):
         class BrokenPool:
             def submit(self, call):
@@ -772,6 +796,13 @@ class TestParser:
 SRC = Path(__file__).parents[1] / "src"
 SOV = UD_ROOT / "sov"
 
+
+def _src_env():
+    """The environment of a fresh interpreter that imports deporder from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 # runs `deporder ARGS` in a fresh interpreter and reports the exit code and
 # whether numpy was imported
 NUMPY_PROBE = """import sys
@@ -819,3 +850,76 @@ class TestNumpyOnlyWhereNeeded:
                                 env=dict(os.environ, PYTHONPATH=path),
                                 capture_output=True, text=True, timeout=120)
         assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}", result.stderr
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_collector_state(self, enabled, tmp_path, capsys,
+                                           monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate",
+                            lambda args: seen.append(gc.isenabled()) or EXIT_OK)
+        after = []
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in (["validate", str(tmp_path)], ["--version"],
+                         ["validate", "--no-such-flag"]):
+                with contextlib.suppress(SystemExit):
+                    main(argv)
+                after.append(gc.isenabled())
+        finally:
+            gc.enable()
+        assert seen == [False]  # the command itself runs with the collector off
+        assert after == [enabled] * 3
+
+    def test_cyclic_garbage_does_not_grow_with_specs(self, trained_dir, tmp_path,
+                                                     capsys):
+        # the premise of running commands with the collector off: a batch of
+        # 8 specs leaves as much cyclic garbage as one of 2 (argparse's parser)
+        names = cross_product_specs(["xx", "sov", "nadj"])
+        counts = []
+        gc.disable()
+        try:
+            gc.collect()
+            for count in (2, 8):
+                specs = tmp_path / f"specs-{count}.txt"
+                specs.write_text("\n".join(names[:count]) + "\n")
+                assert main(["batch", "--specs", str(specs), "--data", str(UD_ROOT),
+                             "--models", str(trained_dir),
+                             "--out", str(tmp_path / "out"), "--jobs", "1"]) == EXIT_OK
+                capsys.readouterr()
+                counts.append(gc.collect())
+        finally:
+            gc.enable()
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], EXIT_OK), (["--no-such-flag"], 2),
+        (["validate", "{empty}"], EXIT_MISSING_INPUT)],
+        ids=["version", "unknown-flag", "validate-empty"])
+    def test_module_exit_codes(self, argv, code, tmp_path):
+        argv = [arg.format(empty=tmp_path) for arg in argv]
+        result = subprocess.run([sys.executable, "-m", "deporder.cli", *argv],
+                                env=_src_env(), capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == code, result.stderr
+
+    def test_import_leaves_out_pool_and_logging(self):
+        probe = ("import sys; before = set(sys.modules); import deporder.cli; "
+                 "print(*sorted(set(sys.modules) - before))")
+        result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                                capture_output=True, text=True, timeout=120)
+        added = result.stdout.split()
+        assert "deporder.cli" in added, result.stderr
+        assert not {"logging", "concurrent.futures"} & set(added)
+
+    def test_stats_with_models_leaves_out_synthesis(self, trained_dir):
+        probe = ("import sys; from deporder import cli; "
+                 "code = cli.main(sys.argv[1:]); "
+                 "print(code, 'deporder.model' in sys.modules, "
+                 "'deporder.synthesis' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe, "stats", "--treebank",
+                                 str(UD_ROOT / "xx"), "--models", str(trained_dir)],
+                                env=_src_env(), capture_output=True, text=True,
+                                timeout=120)
+        assert result.stdout.splitlines()[-1] == "0 True False", result.stderr

@@ -424,7 +424,7 @@ class TestSpecInputs:
             reads[path.name] += 1
             return load_model(path)
 
-        monkeypatch.setattr(synthesis, "load_model", counting_load)
+        monkeypatch.setattr("deporder.model.load_model", counting_load)
         synthesize_language(LanguageSpec.parse(name), UD_ROOT / "xx",
                             fixture_model_dir, tmp_path)
         assert reads == Counter(f"{lang}-{pos_class}.model"
@@ -442,7 +442,7 @@ class TestSpecInputs:
             parses[language, split] += 1
             return read_split(directory, language, split, mode)
 
-        monkeypatch.setattr(synthesis, "load_model", counting_load)
+        monkeypatch.setattr("deporder.model.load_model", counting_load)
         monkeypatch.setattr(synthesis, "read_split", counting_read)
         names = ["xx~sov@V", "sov~xx@N", "xx~nadj@N~sov@V", "sov", "xx~xx@N"]
         cache: dict = {}

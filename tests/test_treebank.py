@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deporder import treebank
 from deporder.treebank import (ConlluError, DepTree, Token, UPOS_TAGS,
                                children_map, filter_for_generation,
                                generation_drop_reason, is_projective,
                                local_configs, max_fanout, parse_conllu,
-                               serialize_conllu, touched_fraction)
+                               serialize_conllu, touched_fraction, write_whole)
 
 from deporder.langmodel import (load_lm, save_lm, tag_sequences, train_trigram,
                                 word_sequences)
@@ -392,3 +393,17 @@ class TestWriteWhole:
             save(new, target)
         assert target.read_bytes() == before
         assert entries(load(target)) == entries(old)
+        assert list(tmp_path.iterdir()) == [target]  # no `.tmp` left behind
+
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def failed_rename(source, destination):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(treebank.os, "replace", failed_rename)
+        with pytest.raises(OSError, match="cross-device"):
+            write_whole(target, "new\n")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
