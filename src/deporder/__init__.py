@@ -10,10 +10,11 @@ treebanks or language models never imports numpy.
 
 import importlib
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 DEFAULT_SEED = 0
 DEFAULT_LAMBDA = 0.05
+DEFAULT_OOV_THRESHOLD = 10  # word-mode trigram LMs: training count below which a word is OOV
 
 
 class SpecError(ValueError):

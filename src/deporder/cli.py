@@ -9,9 +9,12 @@ deterministic for fixed inputs and flags.
 
 Only `train`, `permute`, `batch` and `stats --models` train, score or sample
 ordering models, so only they import `model`, and numpy with it; only
-`permute` and `batch` import `synthesis`, and only `batch` imports
-`concurrent.futures`.  The other subcommands, `--help` and `--version` start
-without numpy.
+`permute` and `batch` import `synthesis`, only `perplexity` and `select`
+import `langmodel`, and only `batch` imports `concurrent.futures`.  The
+other subcommands, `--help` and `--version` start without numpy.
+
+`train` fits the N model in its own process and the V model at the same
+time in a forked child, and writes nothing until both are back.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ import itertools
 import sys
 from pathlib import Path
 
-from . import DEFAULT_LAMBDA, DEFAULT_SEED, SpecError, __version__
-from .langmodel import (DEFAULT_OOV_THRESHOLD, load_lm, perplexity, save_lm,
-                        select_source, tag_sequences, train_trigram,
-                        word_sequences)
+from . import DEFAULT_LAMBDA, DEFAULT_OOV_THRESHOLD, DEFAULT_SEED, SpecError, __version__
 from .treebank import (LANG_ID, ConlluError, filter_for_generation, is_projective,
                        local_configs, parse_conllu, read_split,
                        serialize_conllu, touched_fraction)
@@ -42,14 +42,78 @@ _EPILOG = f"""\
 exit codes:
   {EXIT_OK}  success
   {EXIT_USAGE}  command line usage error
-  {EXIT_MISSING_INPUT}  missing input file or directory, or another file system error
+  {EXIT_MISSING_INPUT}  missing input file or directory, or another operating system error
   {EXIT_BAD_DATA}  malformed data or failed validation
   {EXIT_MISMATCH}  model or spec mismatch
 """
 
 
+def _train_classes(configs: dict, language: str) -> list:
+    """The N and V models of `configs`, fitted at once: N in this process, V
+    in a forked child.
+
+    The child sends back its model, or the exception its fit raised,
+    pickled through a pipe, and leaves by `os._exit`, so it flushes none of
+    the output it shares with this process.  An exception from the child is
+    raised here; a child that dies without an answer raises
+    ChildProcessError naming its class.  A failed fit here kills the child.
+    The child is reaped on every path.
+    """
+    import os
+    import pickle
+    import signal
+    import warnings
+    from .model import train
+
+    def fit(pos_class):
+        return train(configs[pos_class], None, language=language, pos_class=pos_class)
+
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork while other threads run, and
+            # OpenBLAS keeps one; the child runs only its fit, then `os._exit`
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                answer = pickle.dumps(fit("V"))
+            except BaseException as exc:  # raised again in the parent
+                answer = pickle.dumps(exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(answer)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            model_n = fit("N")
+            answer = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not answer:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"{language} V: the training process died ({how})")
+    model_v = pickle.loads(answer)
+    if isinstance(model_v, BaseException):
+        raise model_v
+    return [model_n, model_v]
+
+
 def cmd_train(args) -> int:
-    from .model import save_model, train, usable_configs
+    from .model import save_model, usable_configs
     treebank_dir = Path(args.treebank)
     language = args.lang or treebank_dir.name
     if not LANG_ID.match(language):  # a spec must be able to name the model files
@@ -61,8 +125,7 @@ def cmd_train(args) -> int:
                for pos_class in ("N", "V")}
     for pos_class in configs:  # before fitting either class
         usable_configs(configs[pos_class], language, pos_class)
-    models = [train(configs[pos_class], None, language=language,
-                    pos_class=pos_class) for pos_class in configs]
+    models = _train_classes(configs, language)
     # write only once both classes have trained
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,6 +249,7 @@ def cmd_stats(args) -> int:
 
 
 def _sequences_from_file(path: Path, mode: str, parse_mode: str):
+    from .langmodel import tag_sequences, word_sequences
     if not path.exists():
         raise FileNotFoundError(f"missing treebank file {path}")
     trees = parse_conllu(path.read_text(encoding="utf-8"), parse_mode)
@@ -193,6 +257,7 @@ def _sequences_from_file(path: Path, mode: str, parse_mode: str):
 
 
 def cmd_perplexity(args) -> int:
+    from .langmodel import load_lm, perplexity, save_lm, train_trigram
     parse_mode = "strict" if args.strict else "lenient"
     eval_seqs = _sequences_from_file(Path(args.eval), args.mode, parse_mode)
     if args.lm:
@@ -212,6 +277,7 @@ def cmd_perplexity(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from .langmodel import load_lm, select_source
     parse_mode = "strict" if args.strict else "lenient"
     target = _sequences_from_file(Path(args.target), "tag", parse_mode)
     candidates = []

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import DEFAULT_OOV_THRESHOLD
 from .treebank import DepTree, UPOS_TAGS, write_whole
 
 BOS = "<s>"
 EOS = "</s>"
 OOV = "<unk>"
-
-DEFAULT_OOV_THRESHOLD = 10
 
 
 @dataclass(frozen=True)

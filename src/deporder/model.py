@@ -19,6 +19,7 @@ the H whitelist only picks which windows training fits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -40,7 +41,8 @@ PRIOR = 1.0  # precision of the Gaussian prior on each weight
 GRAD_TOLERANCE = 1e-6  # training stops once the gradient's inf-norm is this small
 MAX_ITERATIONS = 1000
 HISTORY = 10  # curvature pairs kept by L-BFGS
-GATHER_ROWS = 512  # orderings whose state weights are gathered at once
+GATHER_ROWS = 512  # orderings whose state weights scoring gathers at once
+BLOCK_ENTRIES = 1 << 17  # table entries (orderings x columns) training compiles at once
 MEMO_MAX_N = 5  # largest configuration whose scores a model keeps
 
 
@@ -95,6 +97,7 @@ _DIGIT = {symbol: k for k, symbol in enumerate(SYMBOLS, start=1)}
 _BASE = len(SYMBOLS) + 1
 _WINDOW_RADIX = float(_BASE) ** np.arange(features.H_MAX_SPAN + 1)
 _PAIR_RADIX = np.array([6.0 * _BASE, 6.0])  # pair key: (a, b, class * 2 + adjacent)
+_WINDOW_KEYS = 6 * _BASE * _BASE  # pair keys lie below; training keys windows from here
 
 
 @lru_cache(maxsize=None)  # one entry per n; sjt_enumerate rejects n > MAX_N
@@ -158,6 +161,23 @@ def _sjt_table(n: int):
     return orders, number[codes], pairs, windows, row_of
 
 
+def _symbol_digits(slots: tuple[tuple[str, str], ...], head: int) -> list[int]:
+    """The digits of a configuration's symbols, given `features.observed_slots`
+    of it, in `_sjt_table`'s element order, then a 0 that pads windows."""
+    digits = [_DIGIT[s] for s in slots]
+    digits[1], digits[head] = digits[head], digits[1]  # the table's head is element 1
+    return digits + [0]
+
+
+def _symbol_codes(digits: np.ndarray, pairs: np.ndarray, windows: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The pair keys and window codes (see `_states`) of one configuration of
+    n elements, given its `_symbol_digits` and `_sjt_table(n)`'s `pairs` and
+    `windows`; of many, a row each, given their digits' rows."""
+    return ((_PAIR_RADIX @ digits.take(pairs[1:3], axis=-1)).astype(np.intp) + pairs[3],
+            (_WINDOW_RADIX @ digits.take(windows[1:], axis=-1)).astype(np.int64))
+
+
 def _states(slots: tuple[tuple[str, str], ...], head: int):
     """A configuration's orderings, given `features.observed_slots` of it, as
     rows of `_sjt_table` states, with the states' symbol codes.
@@ -170,12 +190,10 @@ def _states(slots: tuple[tuple[str, str], ...], head: int):
     digits, the first lowest, in base `_BASE`.
     """
     orders, codes, pairs, windows, row_of = _sjt_table(len(slots) - 2)
-    symbols = list(slots)
-    symbols[1], symbols[head] = symbols[head], symbols[1]  # the table's head is element 1
-    digits = np.array([_DIGIT[s] for s in symbols] + [0], dtype=float)  # 0 pads windows
+    pair_keys, window_codes = _symbol_codes(
+        np.array(_symbol_digits(slots, head), dtype=float), pairs, windows)
     return (orders, codes, row_of[head - 1],
-            pairs[0], (_PAIR_RADIX @ digits[pairs[1:3]]).astype(np.intp) + pairs[3],
-            windows[0], (_WINDOW_RADIX @ digits[windows[1:]]).astype(np.int64))
+            pairs[0], pair_keys, windows[0], window_codes)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -266,15 +284,15 @@ class _CompiledCorpus:
     `groups` lists the distinct configurations' `features.observed_slots`
     keys, first seen first; `total` counts every configuration.  Those of
     size n share `_sjt_table(n)`'s rows, columns and `span` states, so a block
-    (states, counts, starts, span, owner, ids, weight) stacks the next up to
-    `GATHER_ROWS // n!` (one at least), in size order.  Its state
-    `i * span + s`, state s of group i, fires the feature ids
-    `ids[owner == i * span + s]`: the names of its pair key, or its window's
-    name if `whitelist` holds it.  Row `r = i * n! + k`, ordering k of group
-    i, keeps only its live entries, the states that fire an id, and has at
-    least one: `counts[r]` of them in `states` from `starts[r]` on.  Ids are
-    numbered in state order, first seen first.  `weight[i]` is group i's
-    count / `total`.
+    (states, counts, starts, span, owner, ids, weight) stacks the next of them
+    in size order, as many as keep its table within `BLOCK_ENTRIES` entries
+    (one at least).  Its state `i * span + s`, state s of group i, fires the
+    feature ids `ids[owner == i * span + s]`: the names of its pair key, or
+    its window's name if `whitelist` holds it.  Row `r = i * n! + k`,
+    ordering k of group i, keeps only its live entries, the states that fire
+    an id, and has at least one: `counts[r]` of them in `states` from
+    `starts[r]` on.  Ids are numbered in state order, first seen first.
+    `weight[i]` is group i's count / `total`.
     """
 
     def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
@@ -284,37 +302,54 @@ class _CompiledCorpus:
         self.name_index: dict[str, int] = {}
         self.blocks = []
         window_codes, window_names = _window_names(whitelist)
+        fired = {-1: ()}  # the ids each state key fires; -1 keys a window that fires none
         members = sorted(distinct.items(), key=lambda member: len(member[0][0]))
         while members:
             n = len(members[0][0][0]) - 2  # n elements fill n + 2 slots
-            part = [m for m in members[:max(1, GATHER_ROWS // math.factorial(n))]
+            _, table, pairs, windows, row_of = _sjt_table(n)
+            part = [m for m in members[:max(1, BLOCK_ENTRIES // table.size)]
                     if len(m[0][0]) == n + 2]
             del members[:len(part)]
-            states, counts, owners, ids = [], [], [], []
-            for i, (key, _) in enumerate(part):
-                _, table, rows, pair_states, pair_keys, windows, codes = _states(*key)
-                fired: list = [()] * (len(pair_states) + len(windows))
-                for state, pair_key in zip(pair_states.tolist(), pair_keys.tolist()):
-                    fired[state] = _pair_names(pair_key)
-                found = window_codes.searchsorted(codes)
-                hit = window_codes[found] == codes
-                for state, k in zip(windows[hit].tolist(), found[hit].tolist()):
-                    fired[state] = (window_names[k],)
-                span = len(fired)
-                fires = np.array([len(f) for f in fired])
-                table = table[rows]
-                live = (fires > 0)[table]
-                # every row keeps its adjacent (BOS, first element) pair, which
-                # fires A.BOS.BOS.*, so no row is empty, as `np.add.reduceat` needs
-                states.append(table[live] + i * span)
-                counts.append(np.count_nonzero(live, axis=1))
-                owners.append(np.repeat(np.arange(span) + i * span, fires))
-                ids.append(np.array([self.name_index.setdefault(name, len(self.name_index))
-                                     for names in fired for name in names], dtype=np.intp))
-            counts = np.concatenate(counts)
-            self.blocks.append((np.concatenate(states), counts, np.cumsum(counts) - counts,
-                                span, np.concatenate(owners), np.concatenate(ids),
-                                np.array([count for _, count in part]) / self.total))
+            keys = [key for key, _ in part]
+            span = pairs.shape[1] + windows.shape[1]
+            # every state of every group, keyed by its pair key or by
+            # _WINDOW_KEYS + its window's index in the whitelist
+            pair_keys, codes = _symbol_codes(
+                np.array([_symbol_digits(*key) for key in keys], dtype=float), pairs, windows)
+            found = window_codes.searchsorted(codes)
+            state_keys = np.empty((len(part), span), dtype=np.int64)
+            state_keys[:, pairs[0]] = pair_keys
+            state_keys[:, windows[0]] = np.where(window_codes[found] == codes,
+                                                 _WINDOW_KEYS + found, -1)
+            unique, first, inverse = np.unique(state_keys.ravel(), return_index=True,
+                                               return_inverse=True)
+            for key in unique[np.argsort(first)].tolist():  # number ids first seen first
+                if key not in fired:
+                    names = (_pair_names(key) if key < _WINDOW_KEYS
+                             else (window_names[key - _WINDOW_KEYS],))
+                    fired[key] = tuple(self.name_index.setdefault(name, len(self.name_index))
+                                       for name in names)
+            key_ids = [fired[key] for key in unique.tolist()]
+            lengths = np.array([len(ids) for ids in key_ids])
+            fires = lengths[inverse]
+            owner = np.repeat(np.arange(fires.size), fires)
+            # a state's k-th entry is its key's k-th id
+            key_start = (np.cumsum(lengths) - lengths)[inverse]
+            state_start = np.cumsum(fires) - fires
+            ids = np.fromiter(itertools.chain.from_iterable(key_ids), np.intp)[
+                (key_start - state_start)[owner] + np.arange(owner.size)]
+            # each group's rows in its own head's order, then its live entries
+            # row by row; every row keeps its adjacent (BOS, first element)
+            # pair, which fires A.BOS.BOS.*, so none is empty, as
+            # `np.add.reduceat` needs
+            tables = table[np.array(row_of)[[head - 1 for _, head in keys]]]
+            live = np.take_along_axis((fires > 0).reshape(len(part), span),
+                                      tables.reshape(len(part), -1), axis=1)
+            live = live.reshape(tables.shape)
+            tables += (np.arange(len(part)) * span)[:, None, None]
+            counts = np.count_nonzero(live, axis=2).ravel()
+            self.blocks.append((tables[live], counts, np.cumsum(counts) - counts, span,
+                                owner, ids, np.array([count for _, count in part]) / self.total))
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean log-likelihood per configuration and its gradient.

@@ -5,8 +5,10 @@ import filecmp
 import gc
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,10 @@ import pytest
 from deporder import cli
 from deporder.cli import (EXIT_BAD_DATA, EXIT_MISMATCH, EXIT_MISSING_INPUT,
                           EXIT_OK, build_parser, main)
-from deporder.model import OrderingModel, save_model
+from deporder.model import OrderingModel, save_model, train
 from deporder.synthesis import (LanguageSpec, cross_product_specs,
                                 synthesize_language)
+from deporder.treebank import is_projective, local_configs, read_split
 
 from conftest import UD_ROOT, chain_conllu
 
@@ -156,6 +159,90 @@ class TestTrainCommand:
         code, _, _ = run(capsys, "train", "--treebank", str(tmp_path / "lg"),
                          "--out", str(tmp_path / "models"))
         assert (code, fitted) == (EXIT_BAD_DATA, [])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cannot_fit(language, pos_class):
+    raise ValueError(f"{language} {pos_class}: cannot fit")
+
+
+class TestTrainProcesses:
+    """`train` fits N here and V in a forked child, at once."""
+
+    @pytest.fixture
+    def failing_train(self, monkeypatch):
+        """Make `model.train` run `fail(language, pos_class)` for the classes
+        in `failures` instead of fitting them."""
+        from deporder import model
+        real_train, failures = model.train, {}
+
+        def patched_train(configs, whitelist=None, language="", pos_class="N"):
+            if pos_class in failures:
+                failures[pos_class](language, pos_class)
+            return real_train(configs, whitelist, language=language, pos_class=pos_class)
+
+        monkeypatch.setattr(model, "train", patched_train)
+        return failures
+
+    def test_models_equal_the_library_fit(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                         "--out", str(tmp_path / "cli"))
+        assert code == EXIT_OK
+        trees = [t for t in read_split(UD_ROOT / "xx", "xx", "train", "strict")
+                 if is_projective(t)]
+        (tmp_path / "lib").mkdir()
+        for pos_class in ("N", "V"):
+            name = f"xx-{pos_class}.model"
+            save_model(train([c for t in trees for c in local_configs(t, pos_class)], None,
+                             language="xx", pos_class=pos_class), tmp_path / "lib" / name)
+            assert (tmp_path / "cli" / name).read_bytes() \
+                == (tmp_path / "lib" / name).read_bytes()
+        assert_no_child_left()
+
+    def test_child_error_is_raised_here(self, tmp_path, capsys, failing_train):
+        failing_train["V"] = cannot_fit
+        code, out, err = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                             "--out", str(tmp_path / "models"))
+        assert (code, out, err) == (EXIT_BAD_DATA, "", "error: xx V: cannot fit\n")
+        assert not (tmp_path / "models").exists()
+        assert_no_child_left()
+
+    def test_killed_child_is_named(self, tmp_path, capsys, failing_train):
+        failing_train["V"] = lambda *_: os.kill(os.getpid(), signal.SIGKILL)
+        code, out, err = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                             "--out", str(tmp_path / "models"))
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == "error: xx V: the training process died (signal SIGKILL)\n"
+        assert not (tmp_path / "models").exists()
+        assert_no_child_left()
+
+    def test_failed_fork_closes_the_pipe(self, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = os.listdir("/dev/fd")
+        code, out, err = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                             "--out", str(tmp_path / "models"))
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+        assert os.listdir("/dev/fd") == before
+        assert not (tmp_path / "models").exists()
+
+    def test_failure_here_kills_the_child(self, tmp_path, capsys, failing_train):
+        failing_train["V"] = lambda *_: time.sleep(30)  # until killed
+        failing_train["N"] = cannot_fit
+        start = time.monotonic()
+        code, out, err = run(capsys, "train", "--treebank", str(UD_ROOT / "xx"),
+                             "--out", str(tmp_path / "models"))
+        assert (code, out, err) == (EXIT_BAD_DATA, "", "error: xx N: cannot fit\n")
+        assert time.monotonic() - start < 15  # not the child's 30 s
+        assert not (tmp_path / "models").exists()
+        assert_no_child_left()
 
 
 class TestParseModes:
@@ -911,7 +998,7 @@ class TestEntryPoints:
                                 capture_output=True, text=True, timeout=120)
         added = result.stdout.split()
         assert "deporder.cli" in added, result.stderr
-        assert not {"logging", "concurrent.futures"} & set(added)
+        assert not {"logging", "concurrent.futures", "deporder.langmodel"} & set(added)
 
     def test_stats_with_models_leaves_out_synthesis(self, trained_dir):
         probe = ("import sys; from deporder import cli; "

@@ -36,9 +36,9 @@ MODEL_DIGESTS = {
     "sov-V.model":
         "0a918e0ca41f79cfb13a65af2408b6964d75ae0153b4ae7392e32cc2fc04ee67",
     "xx-N.model":
-        "a92ee10d1174681a4315d52c929486b4ef77922bd7ffacf0fb049f8d5527020f",
+        "66bf4068e4dafcae24a0331491c6639a363207f830a17dd4dd5fca86fbdcc17a",
     "xx-V.model":
-        "b35a96ea57fa5586904896b019f689864e9ae683d70a1e16459504b170aac3ac",
+        "1272b611a36a5192a0bd43319736ff8bfec518ff36018e2943a26906d0a58355",
 }
 
 # Trigram LMs of each mode, trained on the fixture `xx` train split.

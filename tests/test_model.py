@@ -9,9 +9,9 @@ import pytest
 from deporder import features
 from deporder.features import extract, observed_slots
 from deporder import model as model_module
-from deporder.model import (GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
-                            MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, _states,
-                            enumerate_scores, freeness, interpolate, load_model,
+from deporder.model import (BLOCK_ENTRIES, GATHER_ROWS, GRAD_TOLERANCE, MAX_TRAIN_SIZE,
+                            MEMO_MAX_N, PRIOR, OrderingModel, _CompiledCorpus, _sjt_table,
+                            _states, enumerate_scores, freeness, interpolate, load_model,
                             log_likelihood, model_from_text, model_to_text, score, train)
 from deporder.sjt import sjt_enumerate
 from deporder.synthesis import RngStream, sample_ordering
@@ -350,6 +350,11 @@ def stacked_groups(corpus):
                    owner[mine] - i * span, ids[mine], weight[i])
 
 
+def groups_per_block(n):
+    """How many configurations of n elements one training block holds."""
+    return max(1, BLOCK_ENTRIES // _sjt_table(n)[1].size)
+
+
 def reference_objective(configs, whitelist, theta):
     """Mean log-likelihood and its gradient by feature name, configuration
     by configuration, by brute force over every ordering."""
@@ -390,8 +395,14 @@ class TestCompiledRows:
             assert list(corpus.name_index.values()) == list(range(len(names)))
             assert len(corpus.groups) == len(distinct)
             assert corpus.total == sum(counts)
+            # each size's groups fill blocks of at most BLOCK_ENTRIES table
+            # entries, and a block holds one group at least
+            partition = []
+            for n, run in itertools.groupby(config.n for config, _ in in_blocks):
+                run, per_block = len(list(run)), groups_per_block(n)
+                partition += [min(per_block, run - k) for k in range(0, run, per_block)]
+            assert [len(weight) for *_, weight in corpus.blocks] == partition
             for states, sizes, starts, span, _, _, weight in corpus.blocks:
-                assert len(weight) == 1 or len(sizes) <= GATHER_ROWS
                 assert states.dtype == np.intp and len(states) == sizes.sum()
                 assert starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
                 assert 0 <= states.min() and states.max() < len(weight) * span
@@ -444,19 +455,18 @@ class TestObjective:
             assert_matches_reference(configs, whitelist, rnd)
 
     def test_blocks_of_every_size_match_the_reference(self):
-        # enough distinct configurations of sizes 5 and 6 to fill more
-        # than one block each
+        # several distinct configurations of each size share a block, and
+        # those of size 6 fill more than one
         rnd = random.Random(73)
-        configs = [random_config(rnd, n) for n in range(1, 5) for _ in range(3)]
-        for n in (5, 6):
-            configs += [random_config(rnd, n)
-                        for _ in range(GATHER_ROWS // math.factorial(n) + 2)]
+        configs = [random_config(rnd, n) for n in range(1, 6) for _ in range(3)]
+        configs += [random_config(rnd, 6) for _ in range(groups_per_block(6) + 2)]
         configs += configs[::4]
         corpus = assert_matches_reference(configs, fired_h_names(configs), rnd)
         assert len(corpus.groups) == len(distinct_configs(configs)[0])
-        for n in (5, 6):
-            assert sum(len(counts) == len(weight) * math.factorial(n)
-                       for _, counts, *_, weight in corpus.blocks) > 1
+        blocks = [len(counts) // len(weight) for _, counts, *_, weight in corpus.blocks]
+        assert blocks == [math.factorial(n) for n in range(1, 6)] + [math.factorial(6)] * 2
+        # every configuration of one element is the same
+        assert min(len(weight) for *_, weight in corpus.blocks[1:]) > 1
 
     def test_single_element_corpus_is_flat(self):
         configs = [LocalConfig((("NOUN", "head"),)),
