@@ -7,19 +7,19 @@ orderings in Steinhaus-Johnson-Trotter order as slot-pair states (ordered
 element pair, l/m/r class, adjacency) and 3-5-slot windows, and an
 ordering's score is the sum of its states' weights.  `_states` codes each
 state of a configuration by its elements' symbols.  Scoring, sampling and
-freeness read each state's weight off those codes; training reads the same
-codes, and turns a pair key's names and a whitelisted window's name into
-feature ids, once per distinct configuration.  `score` extracts one
-ordering's features directly and is the reference the table is tested
-against.  `train` fits MAP weights under a Gaussian prior by L-BFGS over the
-distinct training configurations, their tables stacked by size with only
-the entries of states that fire a feature kept.  A model is its weights:
-the H whitelist only picks which windows training fits.
+freeness read each state's weight off those codes; training numbers each
+distinct code that fires a feature, a pair key or a whitelisted window,
+once per corpus, and maps those key numbers to feature ids in one table.
+`score` extracts one ordering's features directly and is the reference the
+table is tested against.  `train` fits MAP weights under a Gaussian prior
+by L-BFGS over the distinct training configurations, their tables stacked
+by size with only the key numbers of states that fire a feature kept.  A
+model is its weights: the H whitelist only picks which windows training
+fits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -283,16 +283,16 @@ class _CompiledCorpus:
 
     `groups` lists the distinct configurations' `features.observed_slots`
     keys, first seen first; `total` counts every configuration.  Those of
-    size n share `_sjt_table(n)`'s rows, columns and `span` states, so a block
-    (states, counts, starts, span, owner, ids, weight) stacks the next of them
-    in size order, as many as keep its table within `BLOCK_ENTRIES` entries
-    (one at least).  Its state `i * span + s`, state s of group i, fires the
-    feature ids `ids[owner == i * span + s]`: the names of its pair key, or
-    its window's name if `whitelist` holds it.  Row `r = i * n! + k`,
-    ordering k of group i, keeps only its live entries, the states that fire
-    an id, and has at least one: `counts[r]` of them in `states` from
-    `starts[r]` on.  Ids are numbered in state order, first seen first.
-    `weight[i]` is group i's count / `total`.
+    size n share `_sjt_table(n)`'s rows and columns, so a block (keys,
+    counts, starts, weight) stacks the next of them in size order, as many
+    as keep its table within `BLOCK_ENTRIES` entries (one at least).  Each
+    distinct state key that fires a feature id, a pair key or a whitelisted
+    window, is numbered once for the corpus, first seen first: key
+    `owner[e]` fires id `ids[e]`, its names in firing order, and ids are
+    numbered first seen first too.  Row `r = i * n! + k`, ordering k of
+    group i, keeps only its live entries, the states whose key fires an id,
+    and has at least one: their key numbers, `counts[r]` of them in `keys`
+    from `starts[r]` on.  `weight[i]` is group i's count / `total`.
     """
 
     def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
@@ -302,7 +302,8 @@ class _CompiledCorpus:
         self.name_index: dict[str, int] = {}
         self.blocks = []
         window_codes, window_names = _window_names(whitelist)
-        fired = {-1: ()}  # the ids each state key fires; -1 keys a window that fires none
+        number, numbered = {-1: -1}, 0  # each state key's number, -1 if it fires nothing
+        owner, ids = [], []
         members = sorted(distinct.items(), key=lambda member: len(member[0][0]))
         while members:
             n = len(members[0][0][0]) - 2  # n elements fill n + 2 slots
@@ -323,54 +324,50 @@ class _CompiledCorpus:
                                                  _WINDOW_KEYS + found, -1)
             unique, first, inverse = np.unique(state_keys.ravel(), return_index=True,
                                                return_inverse=True)
-            for key in unique[np.argsort(first)].tolist():  # number ids first seen first
-                if key not in fired:
+            for key in unique[np.argsort(first)].tolist():  # number keys first seen first
+                if key not in number:
                     names = (_pair_names(key) if key < _WINDOW_KEYS
                              else (window_names[key - _WINDOW_KEYS],))
-                    fired[key] = tuple(self.name_index.setdefault(name, len(self.name_index))
-                                       for name in names)
-            key_ids = [fired[key] for key in unique.tolist()]
-            lengths = np.array([len(ids) for ids in key_ids])
-            fires = lengths[inverse]
-            owner = np.repeat(np.arange(fires.size), fires)
-            # a state's k-th entry is its key's k-th id
-            key_start = (np.cumsum(lengths) - lengths)[inverse]
-            state_start = np.cumsum(fires) - fires
-            ids = np.fromiter(itertools.chain.from_iterable(key_ids), np.intp)[
-                (key_start - state_start)[owner] + np.arange(owner.size)]
+                    number[key] = numbered if names else -1
+                    numbered += bool(names)
+                    owner += [number[key]] * len(names)
+                    ids += [self.name_index.setdefault(name, len(self.name_index))
+                            for name in names]
+            state_number = np.array([number[key] for key in unique.tolist()])[inverse]
             # each group's rows in its own head's order, then its live entries
             # row by row; every row keeps its adjacent (BOS, first element)
             # pair, which fires A.BOS.BOS.*, so none is empty, as
             # `np.add.reduceat` needs
             tables = table[np.array(row_of)[[head - 1 for _, head in keys]]]
-            live = np.take_along_axis((fires > 0).reshape(len(part), span),
+            live = np.take_along_axis((state_number >= 0).reshape(len(part), span),
                                       tables.reshape(len(part), -1), axis=1)
             live = live.reshape(tables.shape)
             tables += (np.arange(len(part)) * span)[:, None, None]
             counts = np.count_nonzero(live, axis=2).ravel()
-            self.blocks.append((tables[live], counts, np.cumsum(counts) - counts, span,
-                                owner, ids, np.array([count for _, count in part]) / self.total))
+            self.blocks.append((state_number[tables[live]], counts, np.cumsum(counts) - counts,
+                                np.array([count for _, count in part]) / self.total))
+        self.owner, self.ids = np.array(owner, dtype=np.intp), np.array(ids, dtype=np.intp)
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean log-likelihood per configuration and its gradient.
 
         The per-configuration mean has the same maximizer as the plain sum
         but keeps the line search well conditioned on large corpora.  The
-        gradient is each state's observed-minus-expected mass times its
-        group's `weight`, added to every feature id the state fires.
+        gradient is each key's observed-minus-expected mass, summed over
+        every live entry of the key times its group's `weight`, added to
+        every feature id the key fires.
         """
-        total, grad = 0.0, np.zeros(len(self.name_index))
-        for states, counts, starts, span, owner, ids, weight in self.blocks:
-            state_weight = np.bincount(owner, theta[ids], len(weight) * span)
-            scores = np.add.reduceat(state_weight[states], starts).reshape(len(weight), -1)
+        key_weight = np.bincount(self.owner, theta[self.ids])
+        total, mass = 0.0, np.zeros(len(key_weight))
+        for keys, counts, starts, weight in self.blocks:
+            scores = np.add.reduceat(key_weight[keys], starts).reshape(len(weight), -1)
             top = scores.max(axis=1, keepdims=True)
             logz = top + np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
             total += float(weight @ (scores[:, 0] - logz[:, 0]))
             probs = np.exp(scores - logz) * -weight[:, None]
-            probs[:, 0] += weight  # the observed ordering's states
-            mass = np.bincount(states, np.repeat(probs.ravel(), counts), len(weight) * span)
-            grad += np.bincount(ids, mass[owner], len(grad))
-        return total, grad
+            probs[:, 0] += weight  # the observed ordering's entries
+            mass += np.bincount(keys, np.repeat(probs.ravel(), counts), len(mass))
+        return total, np.bincount(self.ids, mass[self.owner], len(self.name_index))
 
 
 def usable_configs(configs: Sequence[LocalConfig], language: str,

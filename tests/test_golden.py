@@ -28,17 +28,17 @@ from conftest import UD_ROOT, load_split, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "b1160cfdb9465d8cc1d8abc2af2f1e758d9b492083d4aa713ff131fc5c5ea06e",
+        "1af84daa9670a2696fc4adad211bf6c7791395a5ea586d3b05ff07ca434f7e1e",
     "nadj-V.model":
         "08a6c8d85f48a3bad9a37e442be38a3e15881e0cf07a73f4f5adfee6c3b222db",
     "sov-N.model":
         "72c916e1ae2b297a38801a0239158f056ad97c8538c7f562364c90ddc18bbdd5",
     "sov-V.model":
-        "0a918e0ca41f79cfb13a65af2408b6964d75ae0153b4ae7392e32cc2fc04ee67",
+        "150f7aba1690a9ae2023252c267b449e693a72caa429adaf9ce6a44773301d35",
     "xx-N.model":
-        "66bf4068e4dafcae24a0331491c6639a363207f830a17dd4dd5fca86fbdcc17a",
+        "5b3ba609d292e978f4cdd5bc1bebd2e7faab30a9fb0c9e1bebf9cfa5219a942f",
     "xx-V.model":
-        "1272b611a36a5192a0bd43319736ff8bfec518ff36018e2943a26906d0a58355",
+        "5e7bce075c19942abe25d929f9aeef074af11bb0a52e3615b0f26914ec04ac97",
 }
 
 # Trigram LMs of each mode, trained on the fixture `xx` train split.

@@ -142,18 +142,21 @@ NEVER_FIRING = frozenset({
 
 def name_table_scores(model, *configs):
     """Every ordering's score from the names a corpus of `configs`, which
-    must compile to one group, gives its states with the model's H weight
-    names whitelisted, as every weight fires: weights added per state by
-    `np.bincount`, then each ordering's states, dead ones included, gathered
-    and summed."""
-    corpus = _CompiledCorpus(configs, {n for n in model.weights if n.startswith("H.")})
+    must compile to one group, gives its keys with the model's H weight
+    names whitelisted, as every weight fires: weights added per key by
+    `np.bincount`, each state given its key's weight (a dead one 0.0), then
+    each ordering's states, dead ones included, gathered and summed."""
+    whitelist = {n for n in model.weights if n.startswith("H.")}
+    corpus = _CompiledCorpus(configs, whitelist)
     assert corpus.groups == [observed_slots(configs[0])] and corpus.total == len(configs)
-    (*_, span, owner, ids, _), = corpus.blocks
-    _, table, rows, *_ = _states(*corpus.groups[0])
-    codes = table[rows]
+    (key, rows, _), = stacked_groups(corpus)
+    number = state_keys(key, rows, whitelist)[0]
+    _, table, order_rows, *_ = _states(*key)
+    codes = table[order_rows]
     names = list(corpus.name_index)
-    state_weight = np.bincount(
-        owner, [model.weights.get(names[i], 0.0) for i in ids.tolist()], span)
+    key_weight = np.bincount(
+        corpus.owner, [model.weights.get(names[i], 0.0) for i in corpus.ids.tolist()])
+    state_weight = np.where(number >= 0, key_weight[number], 0.0)
     scores = np.empty(len(codes))
     for k in range(0, len(scores), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
@@ -336,18 +339,51 @@ def distinct_configs(configs):
 
 
 def stacked_groups(corpus):
-    """Each group's `observed_slots` key and (rows, owner, ids) read out of
-    its block, in block order (by size, then first seen), with its block
-    weight.  Row k lists the live states of ordering k, numbered within the
-    group."""
+    """Each group's `observed_slots` key and rows read out of its block, in
+    block order (by size, then first seen), with its block weight.  Row k
+    lists the key numbers of ordering k's live entries."""
     keys = iter(sorted(corpus.groups, key=lambda key: len(key[0])))
-    for states, counts, starts, span, owner, ids, weight in corpus.blocks:
-        rows = np.split(states, starts[1:])
+    for block_keys, counts, starts, weight in corpus.blocks:
+        rows = np.split(block_keys, starts[1:])
         size = len(counts) // len(weight)
         for i in range(len(weight)):
-            mine = (owner >= i * span) & (owner < (i + 1) * span)
-            yield (next(keys), [row - i * span for row in rows[i * size:(i + 1) * size]],
-                   owner[mine] - i * span, ids[mine], weight[i])
+            yield next(keys), rows[i * size:(i + 1) * size], weight[i]
+
+
+def key_names(corpus):
+    """The names each key number fires, in firing order."""
+    names = list(corpus.name_index)
+    fires = [[] for _ in range(int(corpus.owner.max()) + 1)]
+    for k, i in zip(corpus.owner.tolist(), corpus.ids.tolist()):
+        fires[k].append(names[i])
+    return fires
+
+
+def state_keys(key, rows, whitelist):
+    """Each state of the `_states` table of the group with `observed_slots`
+    key `key`: its key number, read off the group's `rows` (see
+    `stacked_groups`) by lining them up with the states that fire under
+    `whitelist`, -1 for one that fires nothing; its symbol key, ("pair",
+    pair key) or ("window", window code); and the names it fires."""
+    _, table, order_rows, pair_states, pair_keys, window_states, window_codes = _states(*key)
+    codes, window_names = model_module._window_names(whitelist)
+    whitelisted = dict(zip(codes.tolist(), window_names))
+    span = len(pair_states) + len(window_states)
+    symbols, names = [None] * span, [()] * span
+    for state, pair_key in zip(pair_states.tolist(), pair_keys.tolist()):
+        symbols[state], names[state] = ("pair", pair_key), model_module._pair_names(pair_key)
+    for state, code in zip(window_states.tolist(), window_codes.tolist()):
+        symbols[state] = ("window", code)
+        names[state] = (whitelisted[code],) if code in whitelisted else ()
+    firing = np.array([bool(fired) for fired in names])
+    dense = table[order_rows]
+    assert [len(row) for row in rows] == firing[dense].sum(axis=1).tolist()
+    live = dense[firing[dense]]  # every live entry, row by row
+    number = np.full(span, -1)
+    number[live] = np.concatenate(rows)
+    # each state has one key number in every row it is live in
+    assert (number[live] == np.concatenate(rows)).all()
+    return number, symbols, names
 
 
 def groups_per_block(n):
@@ -402,22 +438,23 @@ class TestCompiledRows:
                 run, per_block = len(list(run)), groups_per_block(n)
                 partition += [min(per_block, run - k) for k in range(0, run, per_block)]
             assert [len(weight) for *_, weight in corpus.blocks] == partition
-            for states, sizes, starts, span, _, _, weight in corpus.blocks:
-                assert states.dtype == np.intp and len(states) == sizes.sum()
+            # key numbers are dense, each firing an id, and each key's ids
+            # lie together
+            fires = key_names(corpus)
+            assert all(fires) and corpus.owner.tolist() == sorted(corpus.owner.tolist())
+            assert corpus.owner.dtype == corpus.ids.dtype == np.intp
+            for keys, sizes, starts, weight in corpus.blocks:
+                assert keys.dtype == np.intp and len(keys) == sizes.sum()
                 assert starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
-                assert 0 <= states.min() and states.max() < len(weight) * span
+                assert 0 <= keys.min() and keys.max() < len(fires)
             groups = list(stacked_groups(corpus))
             assert len(groups) == len(in_blocks)
-            for (key, rows, owner, ids, weight), (config, count) in zip(groups, in_blocks):
+            for (key, rows, weight), (config, count) in zip(groups, in_blocks):
                 assert key == observed_slots(config)
                 assert len(rows) == math.factorial(config.n)
                 assert weight == count / corpus.total
-                fires = [[] for _ in range(int(owner.max()) + 1)]
-                for state, i in zip(owner.tolist(), ids.tolist()):
-                    fires[state].append(names[i])
                 for row, perm in zip(rows, sjt_enumerate(config.n)):
-                    fired = Counter(name for state in row.tolist()
-                                    for name in fires[state])
+                    fired = Counter(name for k in row.tolist() for name in fires[k])
                     assert fired == extract(config, perm, whitelist)
 
     def test_every_row_is_live_and_keeps_every_firing_entry(self):
@@ -431,20 +468,32 @@ class TestCompiledRows:
                 usable = [c for t in trees for c in local_configs(t, pos_class)
                           if c.n <= MAX_TRAIN_SIZE]
                 cases.append((usable, features.build_h_whitelist(usable)))
-        sizes = set()
+        sizes, met = set(), {}
         for configs, whitelist in cases:
             corpus = _CompiledCorpus(configs, whitelist)
             assert all(counts.min() >= 1 for _, counts, *_ in corpus.blocks)
+            fires = key_names(corpus)
             in_blocks = sorted(distinct_configs(configs)[0], key=lambda c: c.n)
-            for (key, rows, owner, _, _), config in zip(stacked_groups(corpus), in_blocks):
+            numbers, seen = {}, []
+            for (key, rows, _), config in zip(stacked_groups(corpus), in_blocks):
                 assert key == observed_slots(config)
                 sizes.add(config.n)
-                _, table, order_rows, *_ = _states(*key)
-                firing = np.zeros(table.max() + 1, dtype=bool)
-                firing[owner] = True
-                for row, dense in zip(rows, table[order_rows]):
-                    assert row.tolist() == dense[firing[dense]].tolist()
+                # every row keeps exactly the entries of its firing states
+                number, symbols, names = state_keys(key, rows, whitelist)
+                for state, symbol in enumerate(symbols):
+                    if names[state]:
+                        # one number per symbol key, in every block, and a
+                        # key's ids are its names in firing order
+                        assert numbers.setdefault(symbol, number[state]) == number[state]
+                        assert fires[number[state]] == list(names[state])
+                        seen.append(number[state])
+                        met.setdefault(symbol, set()).add(config.n)
+            # one number per key, dense and first seen first, state by state
+            # in block order
+            assert len(set(numbers.values())) == len(numbers) == len(fires)
+            assert list(dict.fromkeys(seen)) == list(range(len(fires)))
         assert sizes == set(range(1, MAX_TRAIN_SIZE + 1))
+        assert any(len(n) > 1 for n in met.values())  # a key met in two sizes
 
 
 class TestObjective:
