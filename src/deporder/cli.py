@@ -195,7 +195,9 @@ def cmd_batch(args) -> int:
         line for line in lines if line and not line.startswith("#")))
     mode = "strict" if args.strict else "lenient"
     # a task is a run of consecutive specs with one substrate, which share
-    # its inputs; cutting runs at ceil(specs / jobs) keeps every worker busy
+    # its inputs; cutting runs at ceil(specs / jobs) bounds a task's spec
+    # count, not its work: a spec's cost depends on its substrate, so a
+    # worker can sit idle while another finishes a costlier task
     size = -(-len(names) // args.jobs)
     tasks = []
     for _, run in itertools.groupby(names, lambda name: name.split("~")[0]):

@@ -12,10 +12,10 @@ distinct code that fires a feature, a pair key or a whitelisted window,
 once per corpus, and maps those key numbers to feature ids in one table.
 `score` extracts one ordering's features directly and is the reference the
 table is tested against.  `train` fits MAP weights under a Gaussian prior
-by L-BFGS over the distinct training configurations, their tables stacked
-by size with only the key numbers of states that fire a feature kept.  A
-model is its weights: the H whitelist only picks which windows training
-fits.
+by L-BFGS over the distinct training configurations, scoring the orderings
+of each multiset of elements once, one row per distinct arrangement, with
+only the key numbers of states that fire a feature kept.  A model is its
+weights: the H whitelist only picks which windows training fits.
 """
 
 from __future__ import annotations
@@ -278,21 +278,42 @@ def log_likelihood(model: OrderingModel, config: LocalConfig) -> float:
     return float(scores[0]) - m - math.log(float(np.exp(scores - m).sum()))
 
 
+@lru_cache(maxsize=None)  # one entry per pattern of repeated symbols met
+def _arrangements(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct arrangements of n elements, element e holding symbol
+    number `symbols[e - 1]` (0 to n - 1): the rows of `_sjt_table(n)` whose
+    symbol sequence no earlier row has; the distinct symbol sequences
+    (slots 1 to n, in base n), sorted; and the index among those rows of
+    each sequence's."""
+    n = len(symbols)
+    sequences = np.array(symbols)[np.array(_sjt_table(n)[0]) - 1] @ n ** np.arange(n)
+    distinct, first = np.unique(sequences, return_index=True)
+    return np.sort(first), distinct, first.argsort().argsort()
+
+
 class _CompiledCorpus:
-    """Deduplicated training configurations, stacked by size into blocks.
+    """Deduplicated training configurations, scored once per element multiset.
 
     `groups` lists the distinct configurations' `features.observed_slots`
-    keys, first seen first; `total` counts every configuration.  Those of
-    size n share `_sjt_table(n)`'s rows and columns, so a block (keys,
-    counts, starts, weight) stacks the next of them in size order, as many
-    as keep its table within `BLOCK_ENTRIES` entries (one at least).  Each
-    distinct state key that fires a feature id, a pair key or a whitelisted
-    window, is numbered once for the corpus, first seen first: key
-    `owner[e]` fires id `ids[e]`, its names in firing order, and ids are
-    numbered first seen first too.  Row `r = i * n! + k`, ordering k of
-    group i, keeps only its live entries, the states whose key fires an id,
-    and has at least one: their key numbers, `counts[r]` of them in `keys`
-    from `starts[r]` on.  `weight[i]` is group i's count / `total`.
+    keys, first seen first; `total` counts every configuration.  Groups
+    whose head and dependents carry one multiset of symbols share its rows:
+    `_sjt_table(n)`'s orderings of the head, then the dependents sorted by
+    `_DIGIT`, less each whose symbol sequence an earlier one has, so a row
+    stands for Π cᵢ! orderings, cᵢ the copies of each symbol.  Multiset g's
+    rows start at `multiset_starts[g]` (`row_multiset` maps rows back), its
+    groups' weights (count / `total`) add up to `multiset_weight[g]`, and
+    `log_repeats` is Σ multiset weight × log Π cᵢ!.  Group i puts its weight
+    on row `observed_rows[i]`, its observed arrangement, in `observed_mass`.
+
+    Each distinct state key that fires a feature id, a pair key or a
+    whitelisted window, is numbered once for the corpus, first seen first:
+    key `owner[e]` fires id `ids[e]`, its names in firing order, and ids are
+    numbered first seen first too.  A row keeps only its live entries, the
+    states whose key fires an id, and has at least one.  `rows_by_key`
+    lists the row of every live entry, key by key: key k's `key_counts[k]`
+    entries from `key_starts[k]` on.  Multisets of one size are compiled
+    together, as many as keep their tables within `BLOCK_ENTRIES` entries
+    (one at least).
     """
 
     def __init__(self, configs: Iterable[LocalConfig], whitelist: AbstractSet[str]):
@@ -300,23 +321,28 @@ class _CompiledCorpus:
         self.groups = list(distinct)
         self.total = sum(distinct.values())
         self.name_index: dict[str, int] = {}
-        self.blocks = []
+        members: dict[tuple, list] = {}  # each multiset's (group, digits), first seen first
+        for i, (slots, head) in enumerate(self.groups):
+            digits = [_DIGIT[s] for s in slots[1:-1]]
+            multiset = (digits[head - 1], *sorted(digits[:head - 1] + digits[head:]))
+            members.setdefault(multiset, []).append((i, digits))
         window_codes, window_names = _window_names(whitelist)
         number, numbered = {-1: -1}, 0  # each state key's number, -1 if it fires nothing
-        owner, ids = [], []
-        members = sorted(distinct.items(), key=lambda member: len(member[0][0]))
-        while members:
-            n = len(members[0][0][0]) - 2  # n elements fill n + 2 slots
-            _, table, pairs, windows, row_of = _sjt_table(n)
-            part = [m for m in members[:max(1, BLOCK_ENTRIES // table.size)]
-                    if len(m[0][0]) == n + 2]
-            del members[:len(part)]
-            keys = [key for key, _ in part]
+        owner, ids, blocks, multiset_rows, multiset_counts = [], [], [], [], []
+        self.observed_rows = np.empty(len(self.groups), dtype=np.intp)
+        self.log_repeats, start = 0.0, 0  # start: the next multiset's first row
+        bos, eos = _DIGIT[features.BOS, features.BOS], _DIGIT[features.EOS, features.EOS]
+        pending = sorted(members, key=len)  # by size, then first seen
+        while pending:
+            n = len(pending[0])
+            _, table, pairs, windows, _ = _sjt_table(n)
+            part = [m for m in pending[:max(1, BLOCK_ENTRIES // table.size)] if len(m) == n]
+            del pending[:len(part)]
             span = pairs.shape[1] + windows.shape[1]
-            # every state of every group, keyed by its pair key or by
-            # _WINDOW_KEYS + its window's index in the whitelist
+            # every state of every multiset, head first, keyed by its pair
+            # key or by _WINDOW_KEYS + its window's index in the whitelist
             pair_keys, codes = _symbol_codes(
-                np.array([_symbol_digits(*key) for key in keys], dtype=float), pairs, windows)
+                np.array([(bos, *m, eos, 0) for m in part], dtype=float), pairs, windows)
             found = window_codes.searchsorted(codes)
             state_keys = np.empty((len(part), span), dtype=np.int64)
             state_keys[:, pairs[0]] = pair_keys
@@ -334,46 +360,87 @@ class _CompiledCorpus:
                     ids += [self.name_index.setdefault(name, len(self.name_index))
                             for name in names]
             state_number = np.array([number[key] for key in unique.tolist()])[inverse]
-            # each group's rows in its own head's order, then its live entries
-            # row by row; every row keeps its adjacent (BOS, first element)
-            # pair, which fires A.BOS.BOS.*, so none is empty, as
-            # `np.add.reduceat` needs
-            tables = table[np.array(row_of)[[head - 1 for _, head in keys]]]
-            live = np.take_along_axis((state_number >= 0).reshape(len(part), span),
-                                      tables.reshape(len(part), -1), axis=1)
-            live = live.reshape(tables.shape)
-            tables += (np.arange(len(part)) * span)[:, None, None]
-            counts = np.count_nonzero(live, axis=2).ravel()
-            self.blocks.append((state_number[tables[live]], counts, np.cumsum(counts) - counts,
-                                np.array([count for _, count in part]) / self.total))
+            # each multiset's distinct arrangements, its symbols numbered in
+            # order, and the row of each of its groups' observed arrangement
+            kept = []
+            for multiset in part:
+                symbol = {d: s for s, d in enumerate(dict.fromkeys(multiset))}
+                rows, sequences, index = _arrangements(tuple(symbol[d] for d in multiset))
+                count = 0
+                for i, digits in members[multiset]:
+                    sequence = sum(symbol[d] * n ** k for k, d in enumerate(digits))
+                    self.observed_rows[i] = start + index[sequences.searchsorted(sequence)]
+                    count += distinct[self.groups[i]]
+                self.log_repeats += count * math.log(math.factorial(n) // len(rows))
+                multiset_counts.append(count)
+                multiset_rows.append(len(rows))
+                kept.append(rows)
+                start += len(rows)
+            # the live entries' key numbers row by row, and each row's count
+            offsets = np.repeat(np.arange(len(part)) * span, [len(rows) for rows in kept])
+            tables = state_number[table[np.concatenate(kept)] + offsets[:, None]]
+            live = tables >= 0
+            blocks.append((tables[live], np.count_nonzero(live, axis=1)))
+        self.multiset_weight = np.array(multiset_counts) / self.total
+        self.log_repeats /= self.total
         self.owner, self.ids = np.array(owner, dtype=np.intp), np.array(ids, dtype=np.intp)
+        multiset_rows = np.array(multiset_rows)
+        self.multiset_starts = np.cumsum(multiset_rows) - multiset_rows
+        self.row_multiset = np.repeat(np.arange(len(multiset_rows)), multiset_rows)
+        self.observed_mass = np.bincount(self.observed_rows, np.array(list(distinct.values()))
+                                         / self.total, len(self.row_multiset))
+        # the live entries' rows, key by key, each key's in row order, filled
+        # block by block so that no step holds more than one block's
+        # entries twice; every key is live in some kept row, as
+        # `np.add.reduceat` needs: a row left out has the keys of the row
+        # kept for it, column by column
+        self.key_counts = sum(np.bincount(keys, minlength=numbered) for keys, _ in blocks)
+        self.key_starts = np.cumsum(self.key_counts) - self.key_counts
+        self.rows_by_key = np.empty(self.key_counts.sum(), dtype=np.intp)
+        filled, start = self.key_starts.copy(), 0
+        for keys, counts in blocks:
+            order = np.argsort(keys.astype(np.min_scalar_type(numbered)), kind="stable")
+            keys, block = keys[order], np.bincount(keys, minlength=numbered)
+            # an entry goes to its key's first free slot plus its rank among
+            # the block's entries of that key
+            self.rows_by_key[(filled - np.cumsum(block) + block)[keys] + np.arange(len(keys))] \
+                = np.repeat(np.arange(start, start + len(counts)), counts)[order]
+            filled += block
+            start += len(counts)
 
     def objective_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean log-likelihood per configuration and its gradient.
 
         The per-configuration mean has the same maximizer as the plain sum
-        but keeps the line search well conditioned on large corpora.  The
-        gradient is each key's observed-minus-expected mass, summed over
-        every live entry of the key times its group's `weight`, added to
-        every feature id the key fires.
+        but keeps the line search well conditioned on large corpora.  A
+        row's score sums its live entries' key weights, and each multiset's
+        log-partition is its rows' log-sum-exp plus log Π cᵢ!, a constant
+        the gradient does not see.  The gradient is each key's
+        observed-minus-expected mass, summed over the rows of its live
+        entries, added to every feature id the key fires.
         """
         key_weight = np.bincount(self.owner, theta[self.ids])
-        total, mass = 0.0, np.zeros(len(key_weight))
-        for keys, counts, starts, weight in self.blocks:
-            scores = np.add.reduceat(key_weight[keys], starts).reshape(len(weight), -1)
-            top = scores.max(axis=1, keepdims=True)
-            logz = top + np.log(np.exp(scores - top).sum(axis=1, keepdims=True))
-            total += float(weight @ (scores[:, 0] - logz[:, 0]))
-            probs = np.exp(scores - logz) * -weight[:, None]
-            probs[:, 0] += weight  # the observed ordering's entries
-            mass += np.bincount(keys, np.repeat(probs.ravel(), counts), len(mass))
+        scores = np.bincount(self.rows_by_key, np.repeat(key_weight, self.key_counts),
+                             len(self.row_multiset))
+        top = np.maximum.reduceat(scores, self.multiset_starts)
+        probs = np.exp(scores - top.take(self.row_multiset))
+        sums = np.add.reduceat(probs, self.multiset_starts)
+        # products summed by numpy, not BLAS, whose threads stall on long vectors
+        total = float((self.observed_mass * scores).sum()
+                      - (self.multiset_weight * (top + np.log(sums))).sum()) - self.log_repeats
+        mass = self.observed_mass - probs * (self.multiset_weight / sums).take(self.row_multiset)
+        mass = np.add.reduceat(mass.take(self.rows_by_key), self.key_starts)
         return total, np.bincount(self.ids, mass[self.owner], len(self.name_index))
 
 
 def usable_configs(configs: Sequence[LocalConfig], language: str,
                    pos_class: str) -> list[LocalConfig]:
     """The configurations of at most `MAX_TRAIN_SIZE` elements, which `train`
-    fits; ValueError, naming the language and POS class, if there are none."""
+    fits; ValueError, naming the language and POS class and why, if there
+    are none: the split has no head of the class, or every one is too big."""
+    if not configs:
+        raise ValueError(f"{language} {pos_class}: no usable training configurations "
+                         f"(the split has no {pos_class} heads)")
     usable = [c for c in configs if c.n <= MAX_TRAIN_SIZE]
     if not usable:
         raise ValueError(

@@ -128,11 +128,9 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("text, message", [
         ("1\truns\trun\tVERB\t_\t_\t0\troot\t_\t_\n\n",
-         "error: lg N: no usable training configurations "
-         "(heads with more than 6 elements dropped: 0)"),
+         "error: lg N: no usable training configurations (the split has no N heads)"),
         ("",
-         "error: lg N: no usable training configurations "
-         "(heads with more than 6 elements dropped: 0)"),
+         "error: lg N: no usable training configurations (the split has no N heads)"),
         (WIDE_VERB,
          "error: lg V: no usable training configurations "
          "(heads with more than 6 elements dropped: 1)"),

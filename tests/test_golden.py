@@ -28,17 +28,17 @@ from conftest import UD_ROOT, load_split, save_fixture_models
 
 MODEL_DIGESTS = {
     "nadj-N.model":
-        "1af84daa9670a2696fc4adad211bf6c7791395a5ea586d3b05ff07ca434f7e1e",
+        "dc453d8d00e0ebc28cd73a9ae059cb30df53d089fcb9aaa18ec6434cc9527b75",
     "nadj-V.model":
-        "08a6c8d85f48a3bad9a37e442be38a3e15881e0cf07a73f4f5adfee6c3b222db",
+        "070fcc0a0a2774ba03c5167eef731ffceb8c52cfd6dd6b8170bdaedcae25a2d9",
     "sov-N.model":
-        "72c916e1ae2b297a38801a0239158f056ad97c8538c7f562364c90ddc18bbdd5",
+        "11bab9ae97f83fb6ea81e36545f6bbd8c92eb204b10f9ffb51cb5379609eb524",
     "sov-V.model":
-        "150f7aba1690a9ae2023252c267b449e693a72caa429adaf9ce6a44773301d35",
+        "abea43f55ab4d63431e73d1abec2442fe3a40cb491be19fdc19f967deb839b43",
     "xx-N.model":
-        "5b3ba609d292e978f4cdd5bc1bebd2e7faab30a9fb0c9e1bebf9cfa5219a942f",
+        "511a4be97c24120e7270eefad5c697444e2389b5a62e6a8a67150b7d7cb9dc43",
     "xx-V.model":
-        "5e7bce075c19942abe25d929f9aeef074af11bb0a52e3615b0f26914ec04ac97",
+        "c1c2fb4ebcf12c2dc80ad055d7efc5265414368925b987ffcd8984dcfb39839f",
 }
 
 # Trigram LMs of each mode, trained on the fixture `xx` train split.

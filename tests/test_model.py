@@ -140,23 +140,33 @@ NEVER_FIRING = frozenset({
 })
 
 
+# one multiset, a repeated symbol among its dependents, in three observed
+# orders with the head in a different slot each
+ONE_MULTISET = [LocalConfig((("ADJ", "amod"), ("DET", "det"), ("ADJ", "amod"), ("NOUN", "head"))),
+                LocalConfig((("NOUN", "head"), ("ADJ", "amod"), ("ADJ", "amod"), ("DET", "det"))),
+                LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head"), ("ADJ", "amod")))]
+
+
 def name_table_scores(model, *configs):
-    """Every ordering's score from the names a corpus of `configs`, which
-    must compile to one group, gives its keys with the model's H weight
-    names whitelisted, as every weight fires: weights added per key by
-    `np.bincount`, each state given its key's weight (a dead one 0.0), then
-    each ordering's states, dead ones included, gathered and summed."""
+    """Every ordering's score of `configs[0]` from the names a corpus of
+    `configs`, which must form one multiset, gives its keys, with the
+    model's H weight names whitelisted, as every weight fires: weights added
+    per key by `np.bincount`, each state of `configs[0]` given the weight of
+    its symbol key's number (a dead one 0.0), then each ordering's states,
+    dead ones included, gathered and summed."""
     whitelist = {n for n in model.weights if n.startswith("H.")}
     corpus = _CompiledCorpus(configs, whitelist)
-    assert corpus.groups == [observed_slots(configs[0])] and corpus.total == len(configs)
-    (key, rows, _), = stacked_groups(corpus)
-    number = state_keys(key, rows, whitelist)[0]
+    assert len(corpus.multiset_starts) == 1
+    numbers = state_numbers(corpus, whitelist)[0]
+    key = observed_slots(configs[0])
+    state_number = np.array([numbers.get(symbol, -1)
+                             for symbol in state_symbols(key, whitelist)[0]])
     _, table, order_rows, *_ = _states(*key)
     codes = table[order_rows]
     names = list(corpus.name_index)
     key_weight = np.bincount(
         corpus.owner, [model.weights.get(names[i], 0.0) for i in corpus.ids.tolist()])
-    state_weight = np.where(number >= 0, key_weight[number], 0.0)
+    state_weight = np.where(state_number >= 0, key_weight[state_number], 0.0)
     scores = np.empty(len(codes))
     for k in range(0, len(scores), GATHER_ROWS):
         scores[k:k + GATHER_ROWS] = state_weight[codes[k:k + GATHER_ROWS]].sum(axis=1)
@@ -220,6 +230,13 @@ class TestSymbolCodedScores:
                 ref_scores = name_table_scores(model, *pair)[1]
                 for config in pair:
                     assert enumerate_scores(model, config)[1].tobytes() == ref_scores.tobytes()
+        # arrangements of one multiset compile to its rows, whose keys give
+        # each arrangement's scores
+        for model in h_weight_models(rnd, ONE_MULTISET[0]):
+            for k, config in enumerate(ONE_MULTISET):
+                ref_scores = name_table_scores(model, config, *ONE_MULTISET[:k],
+                                               *ONE_MULTISET[k + 1:])[1]
+                assert enumerate_scores(model, config)[1].tobytes() == ref_scores.tobytes()
 
     def test_one_model_over_many_configurations(self, xx_models, sov_n_model):
         # the model's pair-weight memo is shared by every configuration it
@@ -313,14 +330,24 @@ class TestScoreMemo:
 
 
 def compile_cases(rnd):
-    """Configurations of every trainable size, unknown labels and repeats,
-    under H whitelists of every name they fire, none, and a random third of
+    """Configurations of every trainable size, unknown labels, repeated
+    symbols and multisets in several orders, under H whitelists of every name they fire, none, and a random third of
     them plus `NEVER_FIRING`."""
     configs = [random_config(rnd, n) for n in range(1, 7) for _ in range(3)]
     configs += [
         LocalConfig((("ADJ", "amod"),) * 3 + (("NOUN", "head"),)),
         LocalConfig((("FOO", "nmod:poss"), ("VERB", "head"),
                      ("NOUN", "weird"), ("NOUN", "nmod:tmod"))),
+        *ONE_MULTISET,
+        # labels equal only once normalized: in one configuration, and in two
+        # orders of one multiset
+        LocalConfig((("NOUN", "nmod:tmod"), ("FOO", "amod"), ("VERB", "head"),
+                     ("NOUN", "nmod"), ("X", "amod"))),
+        LocalConfig((("NOUN", "nmod:tmod"), ("VERB", "head"))),
+        LocalConfig((("VERB", "head"), ("NOUN", "nmod"))),
+        # six elements, one symbol three times
+        LocalConfig((("ADV", "advmod"), ("VERB", "head"), ("ADV", "advmod"),
+                     ("NOUN", "nsubj"), ("ADV", "advmod"), ("ADP", "case"))),
     ]
     configs += configs[:2]  # repeats are compiled once
     h_names = sorted(fired_h_names(configs))
@@ -338,16 +365,48 @@ def distinct_configs(configs):
     return list(first.values()), [counts[key] for key in first]
 
 
+def multiset_config(key):
+    """The configuration of the multiset of an `observed_slots` key: its
+    head's symbol, then its dependents' sorted by digit."""
+    slots, head = key
+    dependents = sorted(slots[1:head] + slots[head + 1:-1], key=model_module._DIGIT.get)
+    return LocalConfig((slots[head], *dependents))
+
+
+def distinct_orders(config):
+    """The orderings of `config` whose symbol sequence no earlier one has,
+    in SJT order, each with its index among all n!."""
+    first = {}
+    for k, order in enumerate(sjt_enumerate(config.n)):
+        first.setdefault(tuple(config.elements[e - 1] for e in order), (k, order))
+    return list(first.values())
+
+
+def corpus_rows(corpus):
+    """Each row's live entries, a Counter of their key numbers, read off
+    `rows_by_key`."""
+    rows = [Counter() for _ in corpus.row_multiset]
+    bounds = [*corpus.key_starts.tolist(), len(corpus.rows_by_key)]
+    for k, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        for r in corpus.rows_by_key[start:end].tolist():
+            rows[r][k] += 1
+    return rows
+
+
 def stacked_groups(corpus):
-    """Each group's `observed_slots` key and rows read out of its block, in
-    block order (by size, then first seen), with its block weight.  Row k
-    lists the key numbers of ordering k's live entries."""
-    keys = iter(sorted(corpus.groups, key=lambda key: len(key[0])))
-    for block_keys, counts, starts, weight in corpus.blocks:
-        rows = np.split(block_keys, starts[1:])
-        size = len(counts) // len(weight)
-        for i in range(len(weight)):
-            yield next(keys), rows[i * size:(i + 1) * size], weight[i]
+    """Each multiset's configuration (`multiset_config` of its first
+    group), rows (`corpus_rows`) and weight, in row order, and its groups:
+    each one's `observed_slots` key with its observed row's index among the
+    multiset's.  Row k holds the live entries of the multiset's k-th
+    distinct ordering (`distinct_orders`)."""
+    rows = corpus_rows(corpus)
+    bounds = [*corpus.multiset_starts.tolist(), len(rows)]
+    members = [[] for _ in corpus.multiset_starts]
+    for key, row in zip(corpus.groups, corpus.observed_rows.tolist()):
+        members[corpus.row_multiset[row]].append((key, row))
+    for g, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        yield (multiset_config(members[g][0][0]), rows[start:end], corpus.multiset_weight[g],
+               [(key, row - start) for key, row in members[g]])
 
 
 def key_names(corpus):
@@ -359,13 +418,11 @@ def key_names(corpus):
     return fires
 
 
-def state_keys(key, rows, whitelist):
-    """Each state of the `_states` table of the group with `observed_slots`
-    key `key`: its key number, read off the group's `rows` (see
-    `stacked_groups`) by lining them up with the states that fire under
-    `whitelist`, -1 for one that fires nothing; its symbol key, ("pair",
-    pair key) or ("window", window code); and the names it fires."""
-    _, table, order_rows, pair_states, pair_keys, window_states, window_codes = _states(*key)
+def state_symbols(key, whitelist):
+    """Each state of the `_states` table of `observed_slots` key `key`: its
+    symbol key, ("pair", pair key) or ("window", window code), and the names
+    it fires under `whitelist`."""
+    _, _, _, pair_states, pair_keys, window_states, window_codes = _states(*key)
     codes, window_names = model_module._window_names(whitelist)
     whitelisted = dict(zip(codes.tolist(), window_names))
     span = len(pair_states) + len(window_states)
@@ -375,19 +432,36 @@ def state_keys(key, rows, whitelist):
     for state, code in zip(window_states.tolist(), window_codes.tolist()):
         symbols[state] = ("window", code)
         names[state] = (whitelisted[code],) if code in whitelisted else ()
-    firing = np.array([bool(fired) for fired in names])
-    dense = table[order_rows]
-    assert [len(row) for row in rows] == firing[dense].sum(axis=1).tolist()
-    live = dense[firing[dense]]  # every live entry, row by row
-    number = np.full(span, -1)
-    number[live] = np.concatenate(rows)
-    # each state has one key number in every row it is live in
-    assert (number[live] == np.concatenate(rows)).all()
-    return number, symbols, names
+    return symbols, names
+
+
+def state_numbers(corpus, whitelist):
+    """Each symbol key (see `state_symbols`) that fires under `whitelist`
+    in a corpus's multisets, numbered first seen first, state by state of
+    each multiset's `_states` table in row order; its names; and the sizes
+    of the multisets it is met in.  Checks that these are the corpus's
+    numbers: each multiset's rows hold exactly the numbers of the states
+    that fire in its distinct orderings."""
+    numbers, names, sizes = {}, {}, {}
+    for config, rows, _, _ in stacked_groups(corpus):
+        key = observed_slots(config)
+        symbols, fired = state_symbols(key, whitelist)
+        for symbol, symbol_names in zip(symbols, fired):
+            if symbol_names:
+                numbers.setdefault(symbol, len(numbers))
+                names[symbol] = symbol_names
+                sizes.setdefault(symbol, set()).add(config.n)
+        _, table, order_rows, *_ = _states(*key)
+        orders = distinct_orders(config)
+        assert len(rows) == len(orders)
+        for row, (k, _) in zip(rows, orders):
+            assert row == Counter(numbers[symbols[state]]
+                                  for state in table[order_rows[k]].tolist() if fired[state])
+    return numbers, names, sizes
 
 
 def groups_per_block(n):
-    """How many configurations of n elements one training block holds."""
+    """How many multisets of n elements training compiles at once."""
     return max(1, BLOCK_ENTRIES // _sjt_table(n)[1].size)
 
 
@@ -423,43 +497,60 @@ class TestCompiledRows:
     def test_rows_equal_extract(self):
         configs, whitelists = compile_cases(random.Random(67))
         distinct, counts = distinct_configs(configs)
-        # blocks hold the configurations by size, then in order of first occurrence
-        in_blocks = sorted(zip(distinct, counts), key=lambda item: item[0].n)
+        # multisets by size, then in order of first occurrence, each with
+        # its configurations in order of first occurrence
+        multisets = {}
+        for config, count in zip(distinct, counts):
+            multiset = multiset_config(observed_slots(config)).elements
+            multisets.setdefault(multiset, []).append((config, count))
+        in_rows = sorted(multisets.items(), key=lambda item: len(item[0]))
+        assert max(len(observed) for _, observed in in_rows) == len(ONE_MULTISET)
         for whitelist in whitelists:
             corpus = _CompiledCorpus(configs, whitelist)
             names = list(corpus.name_index)
             assert list(corpus.name_index.values()) == list(range(len(names)))
-            assert len(corpus.groups) == len(distinct)
+            assert corpus.groups == [observed_slots(config) for config in distinct]
             assert corpus.total == sum(counts)
-            # each size's groups fill blocks of at most BLOCK_ENTRIES table
-            # entries, and a block holds one group at least
-            partition = []
-            for n, run in itertools.groupby(config.n for config, _ in in_blocks):
-                run, per_block = len(list(run)), groups_per_block(n)
-                partition += [min(per_block, run - k) for k in range(0, run, per_block)]
-            assert [len(weight) for *_, weight in corpus.blocks] == partition
+            assert corpus.observed_mass[corpus.observed_rows].tolist() \
+                == [count / corpus.total for count in counts]
             # key numbers are dense, each firing an id, and each key's ids
             # lie together
             fires = key_names(corpus)
             assert all(fires) and corpus.owner.tolist() == sorted(corpus.owner.tolist())
-            assert corpus.owner.dtype == corpus.ids.dtype == np.intp
-            for keys, sizes, starts, weight in corpus.blocks:
-                assert keys.dtype == np.intp and len(keys) == sizes.sum()
-                assert starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
-                assert 0 <= keys.min() and keys.max() < len(fires)
+            assert corpus.owner.dtype == corpus.ids.dtype == corpus.rows_by_key.dtype == np.intp
+            # each key's entries lie together, and every key has one, as
+            # `np.add.reduceat` needs
+            assert len(corpus.key_counts) == len(fires) and corpus.key_counts.min() >= 1
+            assert corpus.key_starts.tolist() \
+                == (np.cumsum(corpus.key_counts) - corpus.key_counts).tolist()
+            assert corpus.key_counts.sum() == len(corpus.rows_by_key)
             groups = list(stacked_groups(corpus))
-            assert len(groups) == len(in_blocks)
-            for (key, rows, weight), (config, count) in zip(groups, in_blocks):
-                assert key == observed_slots(config)
-                assert len(rows) == math.factorial(config.n)
-                assert weight == count / corpus.total
-                for row, perm in zip(rows, sjt_enumerate(config.n)):
-                    fired = Counter(name for k in row.tolist() for name in fires[k])
-                    assert fired == extract(config, perm, whitelist)
+            assert [config.elements for config, *_ in groups] == [m for m, _ in in_rows]
+            assert corpus.row_multiset.tolist() \
+                == [g for g, (_, rows, *_) in enumerate(groups) for _ in rows]
+            log_repeats = 0.0
+            for (config, rows, weight, members), (_, observed) in zip(groups, in_rows):
+                # n! / (Π cᵢ!) rows, each an ordering that no earlier
+                # ordering repeats by swapping equal symbols
+                orders = distinct_orders(config)
+                repeats = math.prod(map(math.factorial, Counter(config.elements).values()))
+                assert len(rows) == len(orders) == math.factorial(config.n) // repeats
+                assert weight == sum(count for _, count in observed) / corpus.total
+                log_repeats += weight * math.log(repeats)
+                for row, (_, order) in zip(rows, orders):
+                    fired = Counter()
+                    for k, count in row.items():
+                        fired.update(fires[k] * count)
+                    assert fired == extract(config, order, whitelist)
+                # each configuration's row carries its observed symbols
+                assert [key for key, _ in members] == [observed_slots(c) for c, _ in observed]
+                for (slots, _), r in members:
+                    assert tuple(config.elements[e - 1] for e in orders[r][1]) == slots[1:-1]
+            assert abs(corpus.log_repeats - log_repeats) < 1e-12
 
     def test_every_row_is_live_and_keeps_every_firing_entry(self):
-        # reduceat needs an entry in every row; dropping a firing entry
-        # would lose a feature from a score or a gradient
+        # a dropped firing entry would lose a feature from a score or a
+        # gradient
         configs, whitelists = compile_cases(random.Random(101))
         cases = [(configs, whitelist) for whitelist in whitelists]
         for language in ("xx", "sov", "nadj"):
@@ -471,27 +562,17 @@ class TestCompiledRows:
         sizes, met = set(), {}
         for configs, whitelist in cases:
             corpus = _CompiledCorpus(configs, whitelist)
-            assert all(counts.min() >= 1 for _, counts, *_ in corpus.blocks)
+            assert min(sum(row.values()) for row in corpus_rows(corpus)) >= 1
+            sizes |= {config.n for config, *_ in stacked_groups(corpus)}
+            # every row holds exactly the entries of its firing states, one
+            # number per symbol key, dense and first seen first, state by
+            # state in row order; a key's ids are its names in firing order
+            numbers, names, key_sizes = state_numbers(corpus, whitelist)
             fires = key_names(corpus)
-            in_blocks = sorted(distinct_configs(configs)[0], key=lambda c: c.n)
-            numbers, seen = {}, []
-            for (key, rows, _), config in zip(stacked_groups(corpus), in_blocks):
-                assert key == observed_slots(config)
-                sizes.add(config.n)
-                # every row keeps exactly the entries of its firing states
-                number, symbols, names = state_keys(key, rows, whitelist)
-                for state, symbol in enumerate(symbols):
-                    if names[state]:
-                        # one number per symbol key, in every block, and a
-                        # key's ids are its names in firing order
-                        assert numbers.setdefault(symbol, number[state]) == number[state]
-                        assert fires[number[state]] == list(names[state])
-                        seen.append(number[state])
-                        met.setdefault(symbol, set()).add(config.n)
-            # one number per key, dense and first seen first, state by state
-            # in block order
-            assert len(set(numbers.values())) == len(numbers) == len(fires)
-            assert list(dict.fromkeys(seen)) == list(range(len(fires)))
+            assert sorted(numbers.values()) == list(range(len(fires)))
+            for symbol, number in numbers.items():
+                assert fires[number] == list(names[symbol])
+                met.setdefault(symbol, set()).update(key_sizes[symbol])
         assert sizes == set(range(1, MAX_TRAIN_SIZE + 1))
         assert any(len(n) > 1 for n in met.values())  # a key met in two sizes
 
@@ -503,19 +584,41 @@ class TestObjective:
         for whitelist in whitelists:
             assert_matches_reference(configs, whitelist, rnd)
 
-    def test_blocks_of_every_size_match_the_reference(self):
-        # several distinct configurations of each size share a block, and
-        # those of size 6 fill more than one
+    def test_blocks_of_every_size_match_the_reference(self, monkeypatch):
+        # several multisets of each size are compiled at once, those of size
+        # 6 in more than one block, and compiling one multiset at a time
+        # gives the same corpus
         rnd = random.Random(73)
         configs = [random_config(rnd, n) for n in range(1, 6) for _ in range(3)]
         configs += [random_config(rnd, 6) for _ in range(groups_per_block(6) + 2)]
         configs += configs[::4]
+        blocks, symbol_codes = [], model_module._symbol_codes
+
+        def counted(digits, *tables):
+            blocks.append(len(digits))
+            return symbol_codes(digits, *tables)
+
+        monkeypatch.setattr(model_module, "_symbol_codes", counted)
         corpus = assert_matches_reference(configs, fired_h_names(configs), rnd)
         assert len(corpus.groups) == len(distinct_configs(configs)[0])
-        blocks = [len(counts) // len(weight) for _, counts, *_, weight in corpus.blocks]
-        assert blocks == [math.factorial(n) for n in range(1, 6)] + [math.factorial(6)] * 2
+        sizes = [config.n for config, *_ in stacked_groups(corpus)]
+        assert sizes == sorted(sizes) and sizes.count(6) > groups_per_block(6)
+        partition = []
+        for n, run in itertools.groupby(sizes):
+            run, per_block = len(list(run)), groups_per_block(n)
+            partition += [min(per_block, run - k) for k in range(0, run, per_block)]
+        assert blocks == partition
         # every configuration of one element is the same
-        assert min(len(weight) for *_, weight in corpus.blocks[1:]) > 1
+        assert min(blocks[1:]) > 1
+        monkeypatch.setattr(model_module, "BLOCK_ENTRIES", 1)
+        blocks.clear()
+        single = _CompiledCorpus(configs, fired_h_names(configs))
+        assert blocks == [1] * len(sizes)
+        assert single.name_index == corpus.name_index
+        for name in ("rows_by_key", "key_counts", "key_starts", "multiset_starts",
+                     "observed_rows", "owner", "ids", "observed_mass", "multiset_weight"):
+            assert getattr(single, name).tolist() == getattr(corpus, name).tolist()
+        assert single.log_repeats == corpus.log_repeats
 
     def test_single_element_corpus_is_flat(self):
         configs = [LocalConfig((("NOUN", "head"),)),
