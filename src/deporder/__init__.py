@@ -10,7 +10,7 @@ treebanks or language models never imports numpy.
 
 import importlib
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 DEFAULT_SEED = 0
 DEFAULT_LAMBDA = 0.05

@@ -28,9 +28,9 @@ import sys
 from pathlib import Path
 
 from . import DEFAULT_LAMBDA, DEFAULT_OOV_THRESHOLD, DEFAULT_SEED, SpecError, __version__
-from .treebank import (LANG_ID, ConlluError, filter_for_generation, is_projective,
-                       local_configs, parse_conllu, read_split,
-                       serialize_conllu, touched_fraction)
+from .treebank import (LANG_ID, filter_for_generation, is_projective, local_configs,
+                       parse_conllu, read_input, read_split, serialize_conllu,
+                       touched_fraction)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,12 +114,10 @@ def _train_classes(configs: dict, language: str) -> list:
 
 def cmd_train(args) -> int:
     from .model import save_model, usable_configs
-    treebank_dir = Path(args.treebank)
-    language = args.lang or treebank_dir.name
+    language = args.lang or Path(args.treebank).name
     if not LANG_ID.match(language):  # a spec must be able to name the model files
         raise SpecError(f"bad language id {language!r}")
-    mode = "lenient" if args.lenient else "strict"
-    trees = read_split(treebank_dir, language, "train", mode)
+    trees = read_split(args.treebank, language, "train", args.parse_mode)
     projective = [t for t in trees if is_projective(t)]
     configs = {pos_class: [c for t in projective for c in local_configs(t, pos_class)]
                for pos_class in ("N", "V")}
@@ -143,11 +141,11 @@ def cmd_train(args) -> int:
 
 
 def _synthesize_one(name: str, lam: float, seed: int, data: str, models: str,
-                    out: str, mode: str, cache: dict | None = None) -> Path:
+                    out: str, strict: bool, cache: dict | None = None) -> Path:
     from .synthesis import LanguageSpec, synthesize_language
     spec = LanguageSpec.parse(name, lam=lam, seed=seed)
     return synthesize_language(spec, Path(data) / spec.substrate, models, out,
-                               mode, cache)
+                               "strict" if strict else "lenient", cache)
 
 
 def _synthesize_task(names: list[str], *options) -> list[str]:
@@ -168,9 +166,8 @@ def _synthesize_task(names: list[str], *options) -> list[str]:
 
 
 def cmd_permute(args) -> int:
-    mode = "strict" if args.strict else "lenient"
     print(_synthesize_one(args.spec, args.lam, args.seed, args.data,
-                          args.models, args.out, mode))
+                          args.models, args.out, args.strict))
     return EXIT_OK
 
 
@@ -186,14 +183,10 @@ def _queue(pool, call):
 
 
 def cmd_batch(args) -> int:
-    specs_path = Path(args.specs)
-    if not specs_path.exists():
-        raise FileNotFoundError(f"missing spec list {specs_path}")
     # a repeated name would have two workers writing one directory
-    lines = map(str.strip, specs_path.read_text(encoding="utf-8").splitlines())
-    names = list(dict.fromkeys(
-        line for line in lines if line and not line.startswith("#")))
-    mode = "strict" if args.strict else "lenient"
+    names = read_input(args.specs, "spec list", lambda text: list(dict.fromkeys(
+        line for line in map(str.strip, text.splitlines())
+        if line and not line.startswith("#"))))
     # a task is a run of consecutive specs with one substrate, which share
     # its inputs; cutting runs at ceil(specs / jobs) bounds a task's spec
     # count, not its work: a spec's cost depends on its substrate, so a
@@ -204,7 +197,7 @@ def cmd_batch(args) -> int:
         run = list(run)
         tasks += (run[k:k + size] for k in range(0, len(run), size))
     calls = [functools.partial(_synthesize_task, task, args.lam, args.seed,
-                               args.data, args.models, args.out, mode)
+                               args.data, args.models, args.out, args.strict)
              for task in tasks]
     jobs = min(args.jobs, len(tasks))  # the pool forks every worker at its first submit
     import concurrent.futures
@@ -229,10 +222,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    treebank_dir = Path(args.treebank)
-    language = args.lang or treebank_dir.name
-    mode = "lenient" if args.lenient else "strict"
-    trees = read_split(treebank_dir, language, "train", mode)
+    language = args.lang or Path(args.treebank).name
+    trees = read_split(args.treebank, language, "train", args.parse_mode)
     kept = filter_for_generation(trees)
     total_tokens = sum(len(t) for t in trees)
     kept_tokens = sum(len(t) for t in kept)
@@ -241,8 +232,8 @@ def cmd_stats(args) -> int:
     if args.models:
         from .model import freeness, load_language_models
         model_n, model_v = load_language_models(args.models, language)
-        dev_trees = read_split(treebank_dir, language, "dev", mode)
-        dev_kept = filter_for_generation(dev_trees)
+        dev_kept = filter_for_generation(read_split(args.treebank, language, "dev",
+                                                    args.parse_mode))
         r_value = f"{freeness(model_n, model_v, dev_kept):.3f}"
     print("lang\tsents_kept\tsents\ttokens_kept\ttokens\tT\tR")
     print(f"{language}\t{len(kept)}\t{len(trees)}\t{kept_tokens}"
@@ -250,24 +241,22 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _sequences_from_file(path: Path, mode: str, parse_mode: str):
+def _sequences_from_file(path: str, mode: str, strict: bool):
     from .langmodel import tag_sequences, word_sequences
-    if not path.exists():
-        raise FileNotFoundError(f"missing treebank file {path}")
-    trees = parse_conllu(path.read_text(encoding="utf-8"), parse_mode)
+    trees = read_input(path, "treebank file", lambda text: parse_conllu(
+        text, "strict" if strict else "lenient"))
     return tag_sequences(trees) if mode == "tag" else word_sequences(trees)
 
 
 def cmd_perplexity(args) -> int:
     from .langmodel import load_lm, perplexity, save_lm, train_trigram
-    parse_mode = "strict" if args.strict else "lenient"
-    eval_seqs = _sequences_from_file(Path(args.eval), args.mode, parse_mode)
+    eval_seqs = _sequences_from_file(args.eval, args.mode, args.strict)
     if args.lm:
         lm = load_lm(args.lm)
         if lm.mode != args.mode:
             raise SpecError(f"{args.lm} is a {lm.mode}-mode model, not {args.mode}")
     else:
-        train_seqs = _sequences_from_file(Path(args.train), args.mode, parse_mode)
+        train_seqs = _sequences_from_file(args.train, args.mode, args.strict)
         lm = train_trigram(train_seqs, args.mode, args.oov_threshold)
     value = perplexity(lm, eval_seqs)  # first, so a failing run writes nothing
     if args.save_lm:
@@ -280,8 +269,7 @@ def cmd_perplexity(args) -> int:
 
 def cmd_select(args) -> int:
     from .langmodel import load_lm, select_source
-    parse_mode = "strict" if args.strict else "lenient"
-    target = _sequences_from_file(Path(args.target), "tag", parse_mode)
+    target = _sequences_from_file(args.target, "tag", args.strict)
     candidates = []
     for path in args.candidates:
         lm = load_lm(path)
@@ -304,14 +292,13 @@ def cmd_validate(args) -> int:
         raise FileNotFoundError(f"no .conllu files under {directory}")
     failures = 0
     for path in files:
-        text = path.read_text(encoding="utf-8")
         try:
-            trees = parse_conllu(text, "strict")
+            trees = parse_conllu(path.read_text(encoding="utf-8"), "strict")
             reparsed = parse_conllu(serialize_conllu(trees), "strict")
             if reparsed != trees:
                 raise ValueError("serialize/parse round trip changed the trees")
             print(f"OK\t{path.name}\t{len(trees)}")
-        except (ConlluError, ValueError) as exc:
+        except ValueError as exc:
             failures += 1
             print(f"FAIL\t{path.name}\t{exc}", file=sys.stderr)
     return EXIT_BAD_DATA if failures else EXIT_OK
@@ -329,20 +316,6 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _add_synthesis_options(p: argparse.ArgumentParser) -> None:
-    """The options `permute` and `batch` share."""
-    p.add_argument("--data", required=True,
-                   help="root directory of substrate language directories")
-    p.add_argument("--models", required=True, help="directory of trained models")
-    p.add_argument("--out", required=True, help="output root directory")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                   help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
-    p.add_argument("--strict", action="store_true",
-                   help="error on unknown tags/relations instead of passing through")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deporder",
@@ -354,38 +327,53 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train N and V ordering models from a treebank")
-    p.add_argument("--treebank", required=True,
-                   help="language directory holding <lang>-ud-train.conllu")
+    # options that several subcommands share, each defined once
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true",
+                        help="error on unknown tags/relations instead of passing through")
+    synthesis = argparse.ArgumentParser(add_help=False, parents=[strict])
+    synthesis.add_argument("--data", required=True,
+                           help="root directory of substrate language directories")
+    synthesis.add_argument("--models", required=True, help="directory of trained models")
+    synthesis.add_argument("--out", required=True, help="output root directory")
+    synthesis.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"random seed (default {DEFAULT_SEED})")
+    synthesis.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+                           help=f"substrate interpolation weight (default {DEFAULT_LAMBDA})")
+    treebank = argparse.ArgumentParser(add_help=False)
+    treebank.add_argument("--treebank", required=True,
+                          help="language directory holding <lang>-ud-train.conllu")
+    treebank.add_argument("--lang", help="language id (default: treebank directory name)")
+    treebank.add_argument("--lenient", dest="parse_mode", action="store_const",
+                          const="lenient", default="strict",
+                          help="tolerate unknown tags/relations and skip broken sentences")
+
+    p = sub.add_parser("train", parents=[treebank],
+                       help="train N and V ordering models from a treebank")
     p.add_argument("--out", required=True, help="output directory for model files")
-    p.add_argument("--lang", help="language id (default: treebank directory name)")
-    p.add_argument("--lenient", action="store_true",
-                   help="tolerate unknown tags/relations and skip broken sentences")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("permute", help="synthesize one language from a spec")
+    p = sub.add_parser("permute", parents=[synthesis],
+                       help="synthesize one language from a spec")
     p.add_argument("--spec", required=True,
                    help="spec/directory name, e.g. en~fr@N~hi@V")
-    _add_synthesis_options(p)
     p.set_defaults(func=cmd_permute)
 
-    p = sub.add_parser("batch", help="synthesize many languages from a spec list")
+    p = sub.add_parser("batch", parents=[synthesis],
+                       help="synthesize many languages from a spec list")
     p.add_argument("--specs", required=True,
                    help="newline-delimited file of spec names")
-    _add_synthesis_options(p)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers (default 1)")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("stats", help="sentence/token counts, touched fraction, freeness")
-    p.add_argument("--treebank", required=True, help="language directory")
+    p = sub.add_parser("stats", parents=[treebank],
+                       help="sentence/token counts, touched fraction, freeness")
     p.add_argument("--models", help="model directory (enables the R column)")
-    p.add_argument("--lang", help="language id (default: treebank directory name)")
-    p.add_argument("--lenient", action="store_true",
-                   help="tolerate unknown tags/relations and skip broken sentences")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("perplexity", help="train/evaluate a trigram language model")
+    p = sub.add_parser("perplexity", parents=[strict],
+                       help="train/evaluate a trigram language model")
     p.add_argument("--eval", required=True, help="treebank file to evaluate")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--train", help="treebank file to train on")
@@ -397,16 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word mode: training count below which words become OOV "
                         f"(default {DEFAULT_OOV_THRESHOLD})")
     p.add_argument("--save-lm", help="write the trained model to this file")
-    p.add_argument("--strict", action="store_true",
-                   help="error on unknown tags/relations instead of passing through")
     p.set_defaults(func=cmd_perplexity)
 
-    p = sub.add_parser("select", help="rank candidate sources for a target corpus")
+    p = sub.add_parser("select", parents=[strict],
+                       help="rank candidate sources for a target corpus")
     p.add_argument("--target", required=True, help="target treebank file")
     p.add_argument("--candidates", required=True, nargs="+",
                    help="tag-mode language model files (name gives the language id)")
-    p.add_argument("--strict", action="store_true",
-                   help="error on unknown tags/relations instead of passing through")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("validate", help="round-trip and invariant checks on a directory")
@@ -435,7 +420,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ConlluError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
     finally:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import DEFAULT_OOV_THRESHOLD
-from .treebank import DepTree, UPOS_TAGS, write_whole
+from .treebank import DepTree, UPOS_TAGS, read_input, read_records, write_whole
 
 BOS = "<s>"
 EOS = "</s>"
@@ -159,7 +159,7 @@ def lm_to_text(lm: TrigramLM) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _count(text: str, lineno: int) -> int:
+def _count(lineno: int, text: str) -> int:
     """A count field of line `lineno`: a non-negative integer."""
     if not text.strip().isdecimal():
         raise ValueError(f"line {lineno}: {text.strip()!r} is not a non-negative integer")
@@ -167,35 +167,22 @@ def _count(text: str, lineno: int) -> int:
 
 
 def lm_from_text(text: str) -> TrigramLM:
-    mode = ""
-    oov_threshold = DEFAULT_OOV_THRESHOLD
-    declared_vocab = -1
+    headers, records = read_records(text, ("mode", "oov_threshold", "vocab_size"))
+    mode = headers.get("mode", (0, ""))[1]
+    oov_threshold = _count(*headers.get("oov_threshold", (0, str(DEFAULT_OOV_THRESHOLD))))
+    declared_vocab = _count(*headers["vocab_size"]) if "vocab_size" in headers else -1
     trigrams: dict[tuple[str, str, str], int] = {}
-    lines: dict[tuple[str, str, str], int] = {}  # each trigram's line number
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#mode "):
-            mode = line[len("#mode "):].strip()
-        elif line.startswith("#oov_threshold "):
-            oov_threshold = _count(line[len("#oov_threshold "):], lineno)
-        elif line.startswith("#vocab_size "):
-            declared_vocab = _count(line[len("#vocab_size "):], lineno)
-        elif line.startswith("#"):
-            raise ValueError(f"line {lineno}: unknown header {line!r}")
-        else:
-            gram, sep, count = line.partition("\t")
-            parts = tuple(gram.split(" "))
-            if not sep or len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected `w1 w2 w3\\t<count>`")
-            if parts in trigrams:
-                raise ValueError(f"line {lineno}: repeated trigram {gram!r}")
-            trigrams[parts] = _count(count, lineno)
-            lines[parts] = lineno
+    for lineno, gram, sep, count in records:
+        parts = tuple(gram.split(" "))
+        if not sep or len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected `w1 w2 w3\\t<count>`")
+        if parts in trigrams:
+            raise ValueError(f"line {lineno}: repeated trigram {gram!r}")
+        trigrams[parts] = _count(lineno, count)
     if mode not in ("tag", "word"):
         raise ValueError(f"bad or missing #mode header: {mode!r}")
     vocabulary = _vocabulary(mode, {symbol for gram in trigrams for symbol in gram})
-    for (w1, w2, w3), lineno in lines.items():  # what no padded sequence produces
+    for (lineno, *_), (w1, w2, w3) in zip(records, trigrams):  # what no sequence yields
         if not {w1, w2, w3} <= vocabulary or w3 == BOS or EOS in (w1, w2) or w2 == BOS != w1:
             raise ValueError(f"line {lineno}: no sequence has the trigram {w1} {w2} {w3}")
     if declared_vocab >= 0 and declared_vocab != len(vocabulary):
@@ -210,4 +197,4 @@ def save_lm(lm: TrigramLM, path: str | Path) -> None:
 
 
 def load_lm(path: str | Path) -> TrigramLM:
-    return lm_from_text(Path(path).read_text(encoding="utf-8"))
+    return read_input(path, "language model", lm_from_text)

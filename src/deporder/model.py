@@ -32,7 +32,7 @@ import numpy as np
 from . import DEFAULT_LAMBDA, SpecError, features
 from .sjt import sjt_enumerate
 from .treebank import (HEAD_RELATION, UNIVERSAL_RELATIONS, UPOS_TAGS, LocalConfig,
-                       local_configs, write_whole)
+                       local_configs, read_input, read_records, write_whole)
 
 MODEL_FORMAT_VERSION = 1
 LN2 = math.log(2.0)
@@ -161,19 +161,12 @@ def _sjt_table(n: int):
     return orders, number[codes], pairs, windows, row_of
 
 
-def _symbol_digits(slots: tuple[tuple[str, str], ...], head: int) -> list[int]:
-    """The digits of a configuration's symbols, given `features.observed_slots`
-    of it, in `_sjt_table`'s element order, then a 0 that pads windows."""
-    digits = [_DIGIT[s] for s in slots]
-    digits[1], digits[head] = digits[head], digits[1]  # the table's head is element 1
-    return digits + [0]
-
-
 def _symbol_codes(digits: np.ndarray, pairs: np.ndarray, windows: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The pair keys and window codes (see `_states`) of one configuration of
-    n elements, given its `_symbol_digits` and `_sjt_table(n)`'s `pairs` and
-    `windows`; of many, a row each, given their digits' rows."""
+    n elements, given its symbols' digits in `_sjt_table`'s element order,
+    then a 0 that pads windows, and `_sjt_table(n)`'s `pairs` and `windows`;
+    of many, a row each, given their digits' rows."""
     return ((_PAIR_RADIX @ digits.take(pairs[1:3], axis=-1)).astype(np.intp) + pairs[3],
             (_WINDOW_RADIX @ digits.take(windows[1:], axis=-1)).astype(np.int64))
 
@@ -190,8 +183,9 @@ def _states(slots: tuple[tuple[str, str], ...], head: int):
     digits, the first lowest, in base `_BASE`.
     """
     orders, codes, pairs, windows, row_of = _sjt_table(len(slots) - 2)
-    pair_keys, window_codes = _symbol_codes(
-        np.array(_symbol_digits(slots, head), dtype=float), pairs, windows)
+    digits = [_DIGIT[s] for s in slots] + [0]  # a 0 pads windows
+    digits[1], digits[head] = digits[head], digits[1]  # the table's head is element 1
+    pair_keys, window_codes = _symbol_codes(np.array(digits, dtype=float), pairs, windows)
     return (orders, codes, row_of[head - 1],
             pairs[0], pair_keys, windows[0], window_codes)
 
@@ -584,41 +578,29 @@ def model_to_text(model: OrderingModel) -> str:
 
 
 def model_from_text(text: str) -> OrderingModel:
-    language = ""
-    pos_class = ""
-    version = None
+    headers, records = read_records(text, ("lang", "pos", "version"))
+    version = headers.get("version", (0, None))[1]
+    if version is not None and version != str(MODEL_FORMAT_VERSION):
+        raise ValueError(f"unsupported model format version {version!r}")
     weights: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#lang "):
-            language = line[len("#lang "):].strip()
-        elif line.startswith("#pos "):
-            pos_class = line[len("#pos "):].strip()
-        elif line.startswith("#version "):
-            version = line[len("#version "):].strip()
-            if version != str(MODEL_FORMAT_VERSION):
-                raise ValueError(f"unsupported model format version {version!r}")
-        elif line.startswith("#"):
-            raise ValueError(f"line {lineno}: unknown header {line!r}")
-        else:
-            name, sep, value = line.partition("\t")
-            if not sep:
-                raise ValueError(f"line {lineno}: expected <name>\\t<weight>")
-            try:
-                weight = float(value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: weight {value!r} is not a number") from None
-            if not math.isfinite(weight):
-                raise ValueError(f"line {lineno}: weight {value!r} is not finite")
-            if name in weights:
-                raise ValueError(f"line {lineno}: repeated feature {name!r}")
-            weights[name] = weight
+    for lineno, name, sep, value in records:
+        if not sep:
+            raise ValueError(f"line {lineno}: expected <name>\\t<weight>")
+        try:
+            weight = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: weight {value!r} is not a number") from None
+        if not math.isfinite(weight):
+            raise ValueError(f"line {lineno}: weight {value!r} is not finite")
+        if name in weights:
+            raise ValueError(f"line {lineno}: repeated feature {name!r}")
+        weights[name] = weight
+    pos_class = headers.get("pos", (0, ""))[1]
     if not pos_class:
         raise ValueError("model file lacks a #pos header")
     if version is None:
         raise ValueError("model file lacks a #version header")
-    return OrderingModel(language, pos_class, weights)
+    return OrderingModel(headers.get("lang", (0, ""))[1], pos_class, weights)
 
 
 def save_model(model: OrderingModel, path: str | Path) -> None:
@@ -627,7 +609,7 @@ def save_model(model: OrderingModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> OrderingModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    return read_input(path, "model file", model_from_text)
 
 
 def load_language_models(model_dir: str | Path, language: str

@@ -1,10 +1,15 @@
-"""CoNLL-U treebanks: parsing, filtering, and local head+dependent configurations.
+"""CoNLL-U treebanks: parsing, filtering, and local head+dependent configurations;
+reading and writing every file deporder parses or writes.
 
 A treebank file holds blank-line-separated sentence blocks.  Each block is a
 sequence of "# "-prefixed comment lines followed by 10-column tab-separated
 token lines ("_" for empty fields).  Multiword range lines (ids like "3-4")
 are preserved positionally but are not tokens.  Files end with a trailing
 newline after the final blank line.
+
+`read_input` opens and parses every input file, naming it in any error;
+`read_records` frames model and language-model files; `write_whole` writes
+every artifact.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Collection, TypeVar
 
 from .sjt import MAX_N
 
@@ -232,10 +238,49 @@ def parse_conllu(text: str, mode: str = "strict") -> list[DepTree]:
 def read_split(treebank_dir: str | Path, language: str, split: str,
                mode: str = "strict") -> list[DepTree]:
     """Parse `<language>-ud-<split>.conllu` from a language directory."""
-    path = Path(treebank_dir) / f"{language}-ud-{split}.conllu"
+    return read_input(Path(treebank_dir) / f"{language}-ud-{split}.conllu",
+                      "split file", lambda text: parse_conllu(text, mode))
+
+
+_T = TypeVar("_T")
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], _T]) -> _T:
+    """`parse` of the UTF-8 text of `path`.  A missing file is the
+    FileNotFoundError "missing <what> <path>"; a ValueError from decoding or
+    parsing gets "<path>: " before its message, a ConlluError keeping its
+    type and `.line`."""
+    path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"missing split file {path}")
-    return parse_conllu(path.read_text(encoding="utf-8"), mode)
+        raise FileNotFoundError(f"missing {what} {path}")
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except UnicodeError as exc:  # its message is built from fields, not `args`
+        raise ValueError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def read_records(text: str, headers: Collection[str]
+                 ) -> tuple[dict[str, tuple[int, str]], list[tuple[int, str, str, str]]]:
+    """The `#<name> <value>` header lines of a model or language-model file,
+    by name, as (line number, value stripped), and its other non-blank lines
+    as (line number, key, tab, value), split at the first tab ("" for both
+    if none).  A `#` line naming none of `headers`, or with no space after
+    the name, is an unknown header; a header given twice is rejected."""
+    found, records = {}, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("#"):
+            name, sep, value = line[1:].partition(" ")
+            if not sep or name not in headers:
+                raise ValueError(f"line {lineno}: unknown header {line!r}")
+            if name in found:
+                raise ValueError(f"line {lineno}: repeated header {line!r}")
+            found[name] = (lineno, value.strip())
+        elif line and not line.isspace():
+            records.append((lineno, *line.partition("\t")))
+    return found, records
 
 
 def write_whole(path: str | Path, text: str) -> None:

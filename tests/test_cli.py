@@ -792,6 +792,14 @@ class TestValidateCommand:
         assert code == EXIT_BAD_DATA
         assert "FAIL\tbad.conllu" in err
 
+    def test_undecodable_file_fails_alone(self, tmp_path, capsys):
+        shutil.copy(UD_ROOT / "xx" / "xx-ud-dev.conllu", tmp_path / "good.conllu")
+        (tmp_path / "bad.conllu").write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == EXIT_BAD_DATA
+        assert out.startswith("OK\tgood.conllu\t")
+        assert err.startswith("FAIL\tbad.conllu\t'utf-8' codec can't decode byte 0xff")
+
     def test_missing_directory(self, tmp_path, capsys):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == EXIT_MISSING_INPUT
@@ -834,6 +842,104 @@ class TestValidateCommand:
         assert code == EXIT_BAD_DATA
         assert out == ""
         assert err.splitlines() == [f"FAIL\tbad.conllu\tline {line}: {message}"]
+
+
+class TestNamedErrors:
+    """A file that fails to load is named, and keeps its exit code: 3 for a
+    missing input, 4 for bad data, 5 for a model a spec names but lacks."""
+
+    @pytest.fixture
+    def broken_models(self, trained_dir, tmp_path):
+        """A copy of the trained models whose xx-V.model has weight `abc` on line 5."""
+        models = tmp_path / "models"
+        shutil.copytree(trained_dir, models)
+        broken = models / "xx-V.model"
+        lines = broken.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = lines[4].split("\t")[0] + "\tabc\n"
+        broken.write_text("".join(lines), encoding="utf-8")
+        return models, broken
+
+    @pytest.fixture
+    def lm_path(self, tmp_path, capsys):
+        path = tmp_path / "sov.lm"
+        assert run(capsys, "perplexity",
+                   "--train", str(UD_ROOT / "sov" / "sov-ud-train.conllu"),
+                   "--eval", str(UD_ROOT / "sov" / "sov-ud-dev.conllu"),
+                   "--save-lm", str(path))[0] == EXIT_OK
+        return path
+
+    def test_permute_names_the_model(self, broken_models, tmp_path, capsys):
+        models, broken = broken_models
+        code, out, err = run(capsys, "permute", "--spec", "xx~xx@V",
+                             "--data", str(UD_ROOT), "--models", str(models),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_BAD_DATA, "")
+        assert err == f"error: {broken}: line 5: weight 'abc' is not a number\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_batch_failed_line_names_the_model(self, broken_models, tmp_path, capsys):
+        models, broken = broken_models
+        specs = tmp_path / "specs.txt"
+        specs.write_text("xx~xx@V\nxx\n")
+        code, out, err = run(capsys, "batch", "--specs", str(specs),
+                             "--data", str(UD_ROOT), "--models", str(models),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_BAD_DATA, "done\txx\n")
+        assert err == f"failed\txx~xx@V\t{broken}: line 5: weight 'abc' is not a number\n"
+
+    def test_stats_names_the_model(self, broken_models, capsys):
+        models, broken = broken_models
+        code, out, err = run(capsys, "stats", "--treebank", str(UD_ROOT / "xx"),
+                             "--models", str(models))
+        assert (code, out) == (EXIT_BAD_DATA, "")
+        assert err == f"error: {broken}: line 5: weight 'abc' is not a number\n"
+
+    def test_missing_model_named_with_mismatch(self, trained_dir, tmp_path, capsys):
+        code, _, err = run(capsys, "permute", "--spec", "xx~zz@V",
+                           "--data", str(UD_ROOT), "--models", str(trained_dir),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_MISMATCH
+        assert err == f"error: missing model file {trained_dir / 'zz-N.model'}\n"
+
+    @pytest.mark.parametrize("command", ["select", "perplexity"])
+    def test_malformed_lm_named(self, command, lm_path, capsys):
+        lines = lm_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].split("\t")[0] + "\tx\n"  # the first trigram
+        lm_path.write_text("".join(lines), encoding="utf-8")
+        target = str(UD_ROOT / "sov" / "sov-ud-test.conllu")
+        argv = (["select", "--target", target, "--candidates", str(lm_path)]
+                if command == "select" else ["perplexity", "--lm", str(lm_path), "--eval", target])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_DATA, "")
+        assert err == f"error: {lm_path}: line 4: 'x' is not a non-negative integer\n"
+
+    def test_non_utf8_lm_named(self, lm_path, capsys):
+        lm_path.write_bytes(lm_path.read_bytes() + b"\xff\n")
+        code, out, err = run(capsys, "perplexity", "--lm", str(lm_path),
+                             "--eval", str(UD_ROOT / "sov" / "sov-ud-test.conllu"))
+        assert (code, out) == (EXIT_BAD_DATA, "")
+        assert err.startswith(f"error: {lm_path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_missing_lm_named(self, tmp_path, capsys):
+        code, out, err = run(capsys, "perplexity", "--lm", str(tmp_path / "none.lm"),
+                             "--eval", str(UD_ROOT / "sov" / "sov-ud-test.conllu"))
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: missing language model {tmp_path / 'none.lm'}\n"
+
+    def test_malformed_dev_split_named(self, trained_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(UD_ROOT / "xx", data / "xx")
+        dev = data / "xx" / "xx-ud-dev.conllu"
+        lines = dev.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        fields[6] = "zz"
+        lines[2] = "\t".join(fields)
+        dev.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run(capsys, "permute", "--strict", "--spec", "xx~xx@V",
+                             "--data", str(data), "--models", str(trained_dir),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_BAD_DATA, "")
+        assert err == f"error: {dev}: line 3: non-integer head 'zz'\n"
 
 
 class TestParser:

@@ -10,12 +10,13 @@ from deporder import treebank
 from deporder.treebank import (ConlluError, DepTree, Token, UPOS_TAGS,
                                children_map, filter_for_generation,
                                generation_drop_reason, is_projective,
-                               local_configs, max_fanout, parse_conllu,
-                               serialize_conllu, touched_fraction, write_whole)
+                               local_configs, max_fanout, parse_conllu, read_input,
+                               read_records, serialize_conllu, touched_fraction,
+                               write_whole)
 
-from deporder.langmodel import (load_lm, save_lm, tag_sequences, train_trigram,
-                                word_sequences)
-from deporder.model import load_model, save_model
+from deporder.langmodel import (lm_from_text, load_lm, save_lm, tag_sequences,
+                                train_trigram, word_sequences)
+from deporder.model import load_model, model_from_text, save_model
 
 from conftest import FIXTURES, UD_ROOT, load_split, read_trees
 
@@ -407,3 +408,76 @@ class TestWriteWhole:
             write_whole(target, "new\n")
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "old\n"
+
+
+class TestReadRecords:
+    def test_headers_and_records(self):
+        headers, records = read_records(
+            "#pos N\n\n  \nL.ADJ\t1.0\n#lang  xx \nno tab\na\tb\tc\n", ("lang", "pos"))
+        assert headers == {"pos": (1, "N"), "lang": (5, "xx")}
+        assert records == [(4, "L.ADJ", "\t", "1.0"), (6, "no tab", "", ""),
+                           (7, "a", "\t", "b\tc")]
+
+    @pytest.mark.parametrize("line", ["#lang", "#lang\txx", "# lang xx", "#langs xx"])
+    def test_unknown_header(self, line):
+        with pytest.raises(ValueError) as err:
+            model_from_text(f"#pos N\n#version 1\n{line}\n")
+        assert str(err.value) == f"line 3: unknown header {line!r}"
+
+    def test_empty_value_is_a_header(self):
+        assert model_from_text("#lang \n#pos N\n#version 1\n").language == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("#pos N\n#version 1\n#pos V\n", "line 3: repeated header '#pos V'"),
+        ("#pos N\n#version 2\n#version 1\n", "line 3: repeated header '#version 1'"),
+    ])
+    def test_repeated_header(self, text, message):
+        with pytest.raises(ValueError) as err:
+            model_from_text(text)
+        assert str(err.value) == message
+
+    def test_header_faults_come_before_record_faults(self):
+        # two faults: the framing's is reported, whatever their order
+        with pytest.raises(ValueError) as err:
+            model_from_text("#lang x\n#pos N\n#version 99\n#weights 3\n")
+        assert str(err.value) == "line 4: unknown header '#weights 3'"
+        with pytest.raises(ValueError) as err:
+            lm_from_text("#mode tag\nNOUN NOUN NOUN\tx\n#order 3\n")
+        assert str(err.value) == "line 3: unknown header '#order 3'"
+
+
+class TestReadInput:
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("text\n", encoding="utf-8")
+
+        def parse(text):
+            raise ValueError("line 1: bad")
+
+        with pytest.raises(ValueError) as err:
+            read_input(path, "test file", parse)
+        assert str(err.value) == f"{path}: line 1: bad"
+
+    def test_conllu_error_keeps_type_and_line(self, tmp_path):
+        path = tmp_path / "bad.conllu"
+        path.write_text("1\tw\tw\tNOUN\t_\t_\t1\troot\t_\t_\n\n", encoding="utf-8")
+        with pytest.raises(ConlluError) as err:
+            read_input(path, "treebank file", parse_conllu)
+        assert err.value.line == 1
+        assert str(err.value) == f"{path}: line 1: token 1 is its own head"
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_bytes(b"#lang x\n\xff\n")
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as err:
+            load_lm(tmp_path / "none.lm")
+        assert str(err.value) == f"missing language model {tmp_path / 'none.lm'}"
+
+    def test_os_error_passes_unchanged(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            read_input(tmp_path, "directory", str)
