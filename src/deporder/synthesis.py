@@ -10,7 +10,6 @@ plus a `manifest.tsv` of key/value lines.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 from dataclasses import dataclass
@@ -23,6 +22,16 @@ from .model import OrderingModel, enumerate_scores, interpolate, load_language_m
 from .treebank import (LANG_ID, DepTree, LocalConfig, children_map,
                        generation_drop_reason, local_configs, parse_conllu, read_split,
                        write_whole)
+
+# like `random` for SHA-512, take the interpreter's own SHA-256 first:
+# hashlib would load OpenSSL's libcrypto only to seed the random streams
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SPLITS = ("train", "dev", "test")
 
@@ -80,14 +89,16 @@ class RngStream:
     The state is a Mersenne Twister seeded from the SHA-256 hash of the
     derivation key, so equal keys give equal draw sequences everywhere.
     One sentence's stream has the key (seed, spec dirname, split, 0-based
-    ordinal of the sentence in its split).
+    ordinal of the sentence in its split).  The digest comes from the
+    interpreter's builtin SHA-256 module, or from `hashlib` where the
+    interpreter lacks one; either gives the same digest, so the same stream.
     """
 
     VERSION = "sha256-mt19937/1"
 
     def __init__(self, *key_parts):
         self.key = "\x1f".join(str(p) for p in key_parts)
-        digest = hashlib.sha256(self.key.encode("utf-8")).digest()
+        digest = sha256(self.key.encode("utf-8")).digest()
         self._rng = random.Random(int.from_bytes(digest[:16], "big"))
 
     def uniform(self) -> float:

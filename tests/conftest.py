@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,13 @@ from deporder.treebank import is_projective, local_configs, parse_conllu
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UD_ROOT = FIXTURES / "ud"
+SRC = Path(__file__).parents[1] / "src"
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports deporder from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def read_trees(path, mode="strict"):

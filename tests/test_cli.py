@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +20,7 @@ from deporder.synthesis import (LanguageSpec, cross_product_specs,
                                 synthesize_language)
 from deporder.treebank import is_projective, local_configs, read_split
 
-from conftest import UD_ROOT, chain_conllu
+from conftest import UD_ROOT, chain_conllu, src_env
 
 
 def run(capsys, *argv):
@@ -984,14 +983,7 @@ class TestParser:
         assert batch.jobs == 1
 
 
-SRC = Path(__file__).parents[1] / "src"
 SOV = UD_ROOT / "sov"
-
-
-def _src_env():
-    """The environment of a fresh interpreter that imports deporder from src/."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
 
 
 # runs `deporder ARGS` in a fresh interpreter and reports the exit code and
@@ -1036,10 +1028,9 @@ class TestNumpyOnlyWhereNeeded:
     def test_numpy_imported(self, argv, loads_numpy, lm_dir, trained_dir, tmp_path):
         argv = [arg.format(lms=lm_dir, models=trained_dir, tmp=tmp_path)
                 for arg in argv]
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
-                                env=dict(os.environ, PYTHONPATH=path),
-                                capture_output=True, text=True, timeout=120)
+                                env=src_env(), capture_output=True, text=True,
+                                timeout=120)
         assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}", result.stderr
 
 
@@ -1091,14 +1082,14 @@ class TestEntryPoints:
     def test_module_exit_codes(self, argv, code, tmp_path):
         argv = [arg.format(empty=tmp_path) for arg in argv]
         result = subprocess.run([sys.executable, "-m", "deporder.cli", *argv],
-                                env=_src_env(), capture_output=True, text=True,
+                                env=src_env(), capture_output=True, text=True,
                                 timeout=120)
         assert result.returncode == code, result.stderr
 
     def test_import_leaves_out_pool_and_logging(self):
         probe = ("import sys; before = set(sys.modules); import deporder.cli; "
                  "print(*sorted(set(sys.modules) - before))")
-        result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+        result = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                                 capture_output=True, text=True, timeout=120)
         added = result.stdout.split()
         assert "deporder.cli" in added, result.stderr
@@ -1111,6 +1102,26 @@ class TestEntryPoints:
                  "'deporder.synthesis' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", probe, "stats", "--treebank",
                                  str(UD_ROOT / "xx"), "--models", str(trained_dir)],
-                                env=_src_env(), capture_output=True, text=True,
+                                env=src_env(), capture_output=True, text=True,
                                 timeout=120)
         assert result.stdout.splitlines()[-1] == "0 True False", result.stderr
+
+    @pytest.mark.parametrize("command", ["permute", "batch"])
+    def test_sampling_leaves_out_hashlib(self, command, trained_dir, tmp_path):
+        # the random streams hash with the interpreter's own SHA-256, so no
+        # sampling process loads hashlib and OpenSSL's libcrypto with it
+        spec = "xx~sov@N~nadj@V"
+        if command == "permute":
+            argv = ["permute", "--spec", spec]
+        else:
+            (tmp_path / "specs.txt").write_text(f"{spec}\nxx~nadj@V\n")
+            argv = ["batch", "--specs", str(tmp_path / "specs.txt"), "--jobs", "1"]
+        probe = ("import sys; from deporder import cli; "
+                 "code = cli.main(sys.argv[1:]); "
+                 "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe, *argv, "--data", str(UD_ROOT),
+                                 "--models", str(trained_dir), "--out", str(tmp_path / "out")],
+                                env=src_env(), capture_output=True, text=True,
+                                timeout=120)
+        assert result.stdout.splitlines()[-1] == "0 False False", result.stderr
+        assert (tmp_path / "out" / spec / "manifest.tsv").is_file()

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -18,7 +20,8 @@ from deporder.synthesis import RngStream, sample_ordering
 from deporder.treebank import (DepTree, LocalConfig, Token, filter_for_generation,
                                is_projective, local_configs)
 
-from conftest import fixture_training_inputs, load_split, log_partition, train_fixture_model
+from conftest import (fixture_training_inputs, load_split, log_partition, src_env,
+                      train_fixture_model)
 
 SUBTREE = LocalConfig((("DET", "det"), ("ADJ", "amod"), ("NOUN", "head")))
 DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
@@ -101,6 +104,46 @@ class TestScore:
     def test_single_feature_silent(self):
         model = OrderingModel("t", "N", {"L.DET.det": 2.0})
         assert score(model, SUBTREE, (3, 1, 2)) == 0.0  # DET right of head
+
+
+def first_occurrence_numbering(n):
+    """The states of `_sjt_table(n)`'s rows numbered apart from its code: each
+    ordering's slots (BOS, the elements, EOS) read in `features.extract`'s
+    pair loop, a pair state keyed by (element a, element b, l/m/r class,
+    adjacent) and a window by its elements, and every key numbered densely
+    by first occurrence over the rows read in order."""
+    number, rows = {}, []
+    for perm in sjt_enumerate(n):
+        slots = (0, *perm, n + 1)
+        head = slots.index(1)
+        row = []
+        for i in range(n + 1):
+            for j in range(i + 1, n + 2):
+                states = [("pair", slots[i], slots[j], 0 if j < head else 2 if i > head else 1,
+                           j == i + 1)]
+                if features.H_MIN_SPAN <= j - i <= features.H_MAX_SPAN:
+                    states.append(slots[i:j + 1])
+                row += [number.setdefault(state, len(number)) for state in states]
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestSjtTable:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_codes_are_int16_numbered_by_first_occurrence(self, n):
+        codes = _sjt_table(n)[1]
+        assert codes.dtype == np.int16 and codes.flags.c_contiguous
+        assert np.array_equal(codes, first_occurrence_numbering(n))
+
+    def test_largest_table_builds_without_factorial_temporaries(self):
+        # an index over every (ordering, column) entry, or intp codes, would
+        # take the traced peak to about 7 MB
+        probe = ("import tracemalloc; from deporder.model import _sjt_table; "
+                 "tracemalloc.start(); _sjt_table(7); "
+                 "print(tracemalloc.get_traced_memory()[1])")
+        result = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert int(result.stdout) < 5_000_000, result.stderr
 
 
 class TestIncrementalScoring:

@@ -2,6 +2,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from deporder.treebank import (DepTree, LocalConfig, Token,
                                is_projective, local_configs, parse_conllu,
                                read_split, serialize_conllu)
 
-from conftest import UD_ROOT, chain_conllu, load_split, log_partition
+from conftest import UD_ROOT, chain_conllu, load_split, log_partition, src_env
 
 DET_PAIR = LocalConfig((("DET", "det"), ("X", "head")))
 DET_MODEL = OrderingModel("hand", "N", {"A.BOS.BOS.DET.det": 1.0})
@@ -84,6 +86,21 @@ class TestRngStream:
         draws = {RngStream(0, "en~fr@N", split, k).uniform()
                  for split in ("train", "dev") for k in range(10)}
         assert len(draws) == 20
+
+    def test_hashlib_fallback_draws_the_same_streams(self):
+        # an interpreter without the builtin SHA-256 modules hashes through
+        # hashlib, and every stream must come out the same
+        keys = [(0, "xx~sov@N~nadj@V", "train", 0), (3, "xx~xx@V", "dev", 17), ("lone",)]
+        probe = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                 "from deporder.synthesis import RngStream; "
+                 f"streams = [RngStream(*key) for key in {keys!r}]; "
+                 "print('hashlib' in sys.modules, "
+                 "*(repr(s.uniform()) for s in streams for _ in range(3)))")
+        result = subprocess.run([sys.executable, "-c", probe], env=src_env(),
+                                capture_output=True, text=True, timeout=120)
+        streams = [RngStream(*key) for key in keys]
+        assert result.stdout.split() == \
+            ["True", *(repr(s.uniform()) for s in streams for _ in range(3))], result.stderr
 
     def test_key_reflects_derivation(self, fixture_model_dir, tmp_path, monkeypatch):
         # each kept sentence's stream is keyed (seed, spec dirname, split,
